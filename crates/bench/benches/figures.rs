@@ -292,6 +292,12 @@ fn bench_kernel_scaling(c: &mut Criterion) {
             });
         }
     }
+    // The slowest exact-medium session: delay(5s) at N = 512, where
+    // expired budgets put every flow back into one component.
+    group.bench_function("delay5s_n512", |bench| {
+        let mut run = session(512, Strategy::Delay { max_wait_secs: 5.0 });
+        bench.iter(&mut run)
+    });
     group.finish();
 }
 

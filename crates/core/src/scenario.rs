@@ -598,13 +598,21 @@ pub(crate) fn strategy_from_text(text: &str) -> Result<Strategy, ScenarioParseEr
 }
 
 fn parse_pattern(text: &str) -> Result<AccessPattern, ScenarioParseError> {
+    // A byte count must be a finite number: `NaN` and `inf` parse as f64
+    // but name no size.
+    let bytes = |s: &str| {
+        s.parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| invalid("pattern", text))
+    };
     let tokens: Vec<&str> = text.split_whitespace().collect();
     match tokens.as_slice() {
-        ["contiguous", bytes] => Ok(AccessPattern::Contiguous {
-            bytes_per_proc: bytes.parse().map_err(|_| invalid("pattern", text))?,
+        ["contiguous", size] => Ok(AccessPattern::Contiguous {
+            bytes_per_proc: bytes(size)?,
         }),
         ["strided", size, count] => Ok(AccessPattern::Strided {
-            block_size: size.parse().map_err(|_| invalid("pattern", text))?,
+            block_size: bytes(size)?,
             block_count: count.parse().map_err(|_| invalid("pattern", text))?,
         }),
         _ => Err(invalid("pattern", text)),
@@ -956,6 +964,27 @@ mod tests {
             Scenario::from_text(&broken),
             Err(ScenarioParseError::InvalidValue { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_pattern_sizes_are_rejected() {
+        let text = sample().to_text();
+        assert!(text.contains("pattern = contiguous 16000000.0"));
+        for bad in ["NaN", "inf", "-inf", "infinity"] {
+            for pattern in [format!("contiguous {bad}"), format!("strided {bad} 8")] {
+                let broken = text.replace(
+                    "pattern = contiguous 16000000.0",
+                    &format!("pattern = {pattern}"),
+                );
+                assert!(
+                    matches!(
+                        Scenario::from_text(&broken),
+                        Err(ScenarioParseError::InvalidValue { .. })
+                    ),
+                    "{pattern} was accepted"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,13 @@ pub enum ConfigError {
     },
     /// A contiguous pattern had a negative per-process size.
     NegativeBytesPerProc,
+    /// A pattern's per-process size was NaN or infinite (for a strided
+    /// pattern: the block size times the block count overflowed).
+    NonFiniteBytesPerProc,
     /// A strided pattern had a negative block size.
     NegativeBlockSize,
+    /// A strided pattern's block size was NaN or infinite.
+    NonFiniteBlockSize,
     /// A strided pattern had zero blocks per process.
     ZeroBlockCount,
     /// The collective buffer size was not positive.
@@ -37,7 +42,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NegativeBytesPerProc => {
                 write!(f, "bytes_per_proc must be non-negative")
             }
+            ConfigError::NonFiniteBytesPerProc => write!(f, "bytes_per_proc must be finite"),
             ConfigError::NegativeBlockSize => write!(f, "block_size must be non-negative"),
+            ConfigError::NonFiniteBlockSize => write!(f, "block_size must be finite"),
             ConfigError::ZeroBlockCount => write!(f, "block_count must be at least 1"),
             ConfigError::NonPositiveBufferBytes => {
                 write!(f, "collective buffer_bytes must be positive")

@@ -69,7 +69,12 @@ impl AccessPattern {
     /// Validates the pattern parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match *self {
+            // NaN fails every comparison, so finiteness is checked first:
+            // a NaN or infinite size must not reach the file system.
             AccessPattern::Contiguous { bytes_per_proc } => {
+                if !bytes_per_proc.is_finite() {
+                    return Err(ConfigError::NonFiniteBytesPerProc);
+                }
                 if bytes_per_proc < 0.0 {
                     return Err(ConfigError::NegativeBytesPerProc);
                 }
@@ -78,11 +83,17 @@ impl AccessPattern {
                 block_size,
                 block_count,
             } => {
+                if !block_size.is_finite() {
+                    return Err(ConfigError::NonFiniteBlockSize);
+                }
                 if block_size < 0.0 {
                     return Err(ConfigError::NegativeBlockSize);
                 }
                 if block_count == 0 {
                     return Err(ConfigError::ZeroBlockCount);
+                }
+                if !self.bytes_per_proc().is_finite() {
+                    return Err(ConfigError::NonFiniteBytesPerProc);
                 }
             }
         }
@@ -121,5 +132,24 @@ mod tests {
         assert!(AccessPattern::strided(-1.0, 4).validate().is_err());
         assert!(AccessPattern::strided(MB, 0).validate().is_err());
         assert!(AccessPattern::contiguous(0.0).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_sizes() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                AccessPattern::contiguous(bad).validate(),
+                Err(ConfigError::NonFiniteBytesPerProc)
+            );
+            assert_eq!(
+                AccessPattern::strided(bad, 4).validate(),
+                Err(ConfigError::NonFiniteBlockSize)
+            );
+        }
+        // Finite blocks whose total per process overflows.
+        assert_eq!(
+            AccessPattern::strided(f64::MAX, 2).validate(),
+            Err(ConfigError::NonFiniteBytesPerProc)
+        );
     }
 }

@@ -1086,6 +1086,27 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_pattern_is_a_4xx_not_a_panic() {
+        let svc = service();
+        let text = scenario_text();
+        assert!(text.contains("pattern = contiguous 4000000.0"));
+        for bad in ["NaN", "inf"] {
+            let body = text.replace(
+                "pattern = contiguous 4000000.0",
+                &format!("pattern = contiguous {bad}"),
+            );
+            let response = svc.handle(&post("/v1/run", "", body));
+            assert!(
+                (400..500).contains(&response.status),
+                "{bad}: status {}",
+                response.status
+            );
+        }
+        // A valid request right after is still simulated.
+        assert_eq!(svc.handle(&post("/v1/run", "", text)).status, 200);
+    }
+
+    #[test]
     fn unknown_policy_is_a_422() {
         let svc = service();
         let response = svc.handle(&post("/v1/run", "policy=wizardry", scenario_text()));

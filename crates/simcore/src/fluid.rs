@@ -18,24 +18,45 @@
 //! ## Incremental allocation
 //!
 //! Rates are recomputed *incrementally*: the network maintains, per
-//! constraint, the set of flows currently competing on it, and every
+//! constraint, the list of flows currently competing on it, and every
 //! mutation (a flow added, removed, paused, resumed or completed; a
 //! capacity changed) marks only the finite-capacity constraints it
 //! touches. The next rate query re-solves just the affected *components* —
 //! the transitive closure of flows connected through binding-capable
 //! constraints — and leaves every other flow's allocation untouched.
 //! Infinite-capacity constraints never bind, so they never couple
-//! components (the typical infinite interconnect does not glue the whole
-//! machine into one component).
+//! components. A *finite* shared constraint does: the default file-system
+//! presets have a finite interconnect that every flow crosses, so there
+//! all participating flows form one component and each completion re-solves
+//! every survivor.
 //!
 //! The invariant behind this (checked by a from-scratch re-solve after
 //! every incremental pass in debug builds): flows in different components
 //! share no finite constraint, so the max-min allocation of a component
 //! depends only on that component's flows and capacities.
+//!
+//! ## Storage and summation order
+//!
+//! Because every solve of a component may touch thousands of flows, the
+//! network keeps dense, index-based storage: flow states live in a slab
+//! whose freed slots are recycled (storage follows the number of live
+//! flows, not the number ever added); a sorted id index maps the public,
+//! monotonic [`FlowId`] to its slot; per-constraint membership lists are
+//! sorted by id, so a join is normally a push. A component is gathered
+//! with epoch-stamped visit marks and one sort of the gathered ids, and
+//! the solver reuses its working buffers across calls.
+//!
+//! Every iteration and every floating-point sum runs in **ascending
+//! `FlowId` order** — the flows of a component in the solver, and all
+//! flows in [`FluidNetwork::advance`], [`FluidNetwork::aggregate_rate`],
+//! [`FluidNetwork::flow_ids`], [`FluidNetwork::completed_flows`] and
+//! [`FluidNetwork::stalled_flows`]. That order is the bit-identity
+//! invariant: an incremental re-solve yields exactly the bits a
+//! from-scratch [`FluidNetwork::recompute`] yields, and rates do not
+//! depend on how the storage is laid out.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Numerical tolerance for byte counts and rates.
 pub(crate) const EPS: f64 = 1e-9;
@@ -100,6 +121,17 @@ struct FlowState {
     paused: bool,
 }
 
+impl FlowState {
+    fn is_complete(&self) -> bool {
+        self.remaining <= completion_threshold(self.spec.bytes)
+    }
+
+    /// Whether the flow takes part in the allocation.
+    fn participates(&self) -> bool {
+        !self.paused && !self.is_complete()
+    }
+}
+
 /// Snapshot of a flow's progress, returned by accessors.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowProgress {
@@ -113,23 +145,85 @@ pub struct FlowProgress {
     pub paused: bool,
 }
 
+/// A flow as the index and the membership lists record it: its public id
+/// (the sort key) and its slab slot.
+#[derive(Debug, Clone, Copy)]
+struct FlowRef {
+    id: FlowId,
+    slot: u32,
+}
+
+/// Slot of a removed flow's entry in the id index, until compaction.
+const VACANT: u32 = u32::MAX;
+
+/// Working storage for component collection and solving, reused across
+/// calls so a re-solve allocates nothing once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Stamp of the current pass: a flow slot or constraint whose mark
+    /// equals it was already reached in this pass.
+    epoch: u32,
+    flow_mark: Vec<u32>,
+    constraint_mark: Vec<u32>,
+    stack: Vec<usize>,
+    /// The component being solved, in ascending id order.
+    component: Vec<FlowRef>,
+    /// The finite constraints the component spans.
+    span: Vec<usize>,
+    cap_left: Vec<f64>,
+    weight_on: Vec<f64>,
+    /// Solved rates, parallel to `component`.
+    rate: Vec<f64>,
+    /// Positions in `component` of the flows still being filled.
+    unfrozen: Vec<usize>,
+}
+
+impl Workspace {
+    /// Starts a pass in which every flow and constraint is unvisited.
+    fn begin_pass(&mut self, slots: usize, constraints: usize) {
+        if self.epoch == u32::MAX {
+            self.epoch = 0;
+            self.flow_mark.fill(0);
+            self.constraint_mark.fill(0);
+        }
+        self.epoch += 1;
+        self.flow_mark.resize(slots, 0);
+        self.constraint_mark.resize(constraints, 0);
+        self.weight_on.resize(constraints, 0.0);
+    }
+}
+
 /// The fluid network: a set of constraints and the flows sharing them.
 #[derive(Debug, Clone, Default)]
 pub struct FluidNetwork {
     capacities: Vec<f64>,
-    flows: BTreeMap<FlowId, FlowState>,
+    /// Flow states by slot. A freed slot keeps its last state until a new
+    /// flow reuses it; nothing refers to it meanwhile.
+    slots: Vec<FlowState>,
+    free_slots: Vec<u32>,
+    /// Registered flows in ascending id order. A removal leaves a
+    /// [`VACANT`] entry, swept out once they make up half the index.
+    index: Vec<FlowRef>,
+    vacant: usize,
     next_flow: u64,
-    /// Per-constraint set of *participating* flows (neither paused nor
-    /// complete) — the adjacency the incremental solver walks.
-    members: Vec<BTreeSet<FlowId>>,
+    /// Per-constraint *participating* flows (neither paused nor complete),
+    /// in ascending id order — the adjacency the incremental solver walks.
+    members: Vec<Vec<FlowRef>>,
     /// Constraints whose component must be re-solved before the next rate
-    /// query.
-    dirty_constraints: BTreeSet<usize>,
+    /// query (duplicates allowed).
+    dirty_constraints: Vec<usize>,
     /// Changed flows that cross no finite constraint (their rate is their
     /// own cap; nobody else is affected).
-    dirty_lone: BTreeSet<FlowId>,
+    dirty_lone: Vec<FlowId>,
     /// Completions since the last [`FluidNetwork::drain_completed`].
     newly_completed: Vec<FlowId>,
+    /// The earliest completion at current rates, while it is known: set
+    /// by a scan or by a completion-free [`FluidNetwork::advance`], cleared
+    /// whenever rates are re-solved.
+    next_completion: Option<Option<SimDuration>>,
+    /// Boxed: scratch space, so it need not widen every value that
+    /// embeds a network.
+    work: Box<Workspace>,
 }
 
 impl FluidNetwork {
@@ -142,7 +236,7 @@ impl FluidNetwork {
     pub fn add_constraint(&mut self, capacity: f64) -> ConstraintId {
         assert!(capacity >= 0.0, "constraint capacity must be non-negative");
         self.capacities.push(capacity);
-        self.members.push(BTreeSet::new());
+        self.members.push(Vec::new());
         ConstraintId(self.capacities.len() - 1)
     }
 
@@ -168,7 +262,7 @@ impl FluidNetwork {
         };
         if changed {
             self.capacities[id.0] = capacity;
-            self.dirty_constraints.insert(id.0);
+            self.dirty_constraints.push(id.0);
         }
     }
 
@@ -190,29 +284,49 @@ impl FluidNetwork {
         }
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        let participates = spec.bytes > completion_threshold(spec.bytes);
-        self.flows.insert(
-            id,
-            FlowState {
-                remaining: spec.bytes,
-                transferred: 0.0,
-                rate: 0.0,
-                paused: false,
-                spec,
-            },
-        );
+        let state = FlowState {
+            remaining: spec.bytes,
+            transferred: 0.0,
+            rate: 0.0,
+            paused: false,
+            spec,
+        };
+        let participates = state.participates();
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = state;
+                slot
+            }
+            None => {
+                self.slots.push(state);
+                u32::try_from(self.slots.len() - 1).unwrap_or(VACANT)
+            }
+        };
+        assert!(slot != VACANT, "too many concurrent flows");
+        // Ids only grow, so the index stays sorted by pushing.
+        let flow = FlowRef { id, slot };
+        self.index.push(flow);
         if participates {
-            self.join(id);
+            self.relink(flow, true);
         }
         id
     }
 
     /// Removes a flow (complete or not) and returns its final progress.
     pub fn remove_flow(&mut self, id: FlowId) -> Option<FlowProgress> {
-        if self.participates(id) {
-            self.leave(id);
+        let pos = self.index_position(id)?;
+        let flow = self.index[pos];
+        if self.slots[flow.slot as usize].participates() {
+            self.relink(flow, false);
         }
-        let st = self.flows.remove(&id)?;
+        self.index[pos].slot = VACANT;
+        self.vacant += 1;
+        if 2 * self.vacant > self.index.len() {
+            self.index.retain(|f| f.slot != VACANT);
+            self.vacant = 0;
+        }
+        self.free_slots.push(flow.slot);
+        let st = &self.slots[flow.slot as usize];
         Some(FlowProgress {
             remaining: st.remaining,
             transferred: st.transferred,
@@ -224,38 +338,40 @@ impl FluidNetwork {
     /// Pauses a flow: it stops consuming bandwidth but keeps its remaining
     /// volume (used by the interruption strategy).
     pub fn pause_flow(&mut self, id: FlowId) {
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(flow) = self.lookup(id) else {
             return;
         };
+        let f = &mut self.slots[flow.slot as usize];
         if f.paused {
             return;
         }
-        let was_active = f.remaining > completion_threshold(f.spec.bytes);
+        let was_active = !f.is_complete();
         f.paused = true;
         f.rate = 0.0;
         if was_active {
-            self.leave(id);
+            self.relink(flow, false);
         }
     }
 
     /// Resumes a paused flow.
     pub fn resume_flow(&mut self, id: FlowId) {
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(flow) = self.lookup(id) else {
             return;
         };
+        let f = &mut self.slots[flow.slot as usize];
         if !f.paused {
             return;
         }
         f.paused = false;
-        if f.remaining > completion_threshold(f.spec.bytes) {
-            self.join(id);
+        if !f.is_complete() {
+            self.relink(flow, true);
         }
     }
 
     /// Returns the progress snapshot of a flow.
     pub fn progress(&mut self, id: FlowId) -> Option<FlowProgress> {
         self.ensure_rates();
-        self.flows.get(&id).map(|f| FlowProgress {
+        self.state(id).map(|f| FlowProgress {
             remaining: f.remaining,
             transferred: f.transferred,
             rate: f.rate,
@@ -265,51 +381,51 @@ impl FluidNetwork {
 
     /// True if the flow has transferred all of its bytes.
     pub fn is_complete(&self, id: FlowId) -> bool {
-        self.flows
-            .get(&id)
-            .map(|f| f.remaining <= completion_threshold(f.spec.bytes))
-            .unwrap_or(false)
+        self.state(id).is_some_and(FlowState::is_complete)
     }
 
     /// Number of registered flows (complete flows stay registered until
     /// removed).
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.index.len() - self.vacant
     }
 
     /// Iterates over all flow ids in deterministic (insertion id) order.
     pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.flows.keys().copied()
+        self.live().map(|f| f.id)
     }
 
     /// Current rate of a flow in bytes/s.
     pub fn rate(&mut self, id: FlowId) -> f64 {
         self.ensure_rates();
-        self.flows.get(&id).map(|f| f.rate).unwrap_or(0.0)
+        self.state(id).map(|f| f.rate).unwrap_or(0.0)
     }
 
     /// Aggregate rate (bytes/s) over all active flows.
     pub fn aggregate_rate(&mut self) -> f64 {
         self.ensure_rates();
-        self.flows.values().map(|f| f.rate).sum()
+        self.live().map(|f| self.slots[f.slot as usize].rate).sum()
     }
 
     /// Time until the earliest active flow completes at current rates, or
     /// `None` if no active flow is making progress.
     pub fn time_to_next_completion(&mut self) -> Option<SimDuration> {
         self.ensure_rates();
+        if let Some(next) = self.next_completion {
+            return next;
+        }
         let mut best: Option<f64> = None;
-        for f in self.flows.values() {
-            if f.paused || f.remaining <= completion_threshold(f.spec.bytes) || f.rate <= EPS {
+        for flow in self.live() {
+            let f = &self.slots[flow.slot as usize];
+            if f.paused || f.is_complete() || f.rate <= EPS {
                 continue;
             }
             let t = f.remaining / f.rate;
-            best = Some(match best {
-                Some(b) => b.min(t),
-                None => t,
-            });
+            best = Some(best.map_or(t, |b| b.min(t)));
         }
-        best.map(SimDuration::from_secs)
+        let next = best.map(SimDuration::from_secs);
+        self.next_completion = Some(next);
+        next
     }
 
     /// Advances every active flow by `dt` at its current rate. Flows never
@@ -325,8 +441,16 @@ impl FluidNetwork {
         if secs <= 0.0 {
             return;
         }
-        let mut completed: Vec<FlowId> = Vec::new();
-        for (id, f) in self.flows.iter_mut() {
+        let first_completion = self.newly_completed.len();
+        // The earliest next completion among the survivors: the same
+        // minimum over the same values `time_to_next_completion` scans
+        // for, valid as long as nothing completes in this step.
+        let mut best: Option<f64> = None;
+        for flow in &self.index {
+            if flow.slot == VACANT {
+                continue;
+            }
+            let f = &mut self.slots[flow.slot as usize];
             if f.paused || f.rate <= EPS {
                 continue;
             }
@@ -338,18 +462,28 @@ impl FluidNetwork {
             // integration drift would otherwise leave it a few ulps short
             // at its own predicted completion instant (which would cost an
             // extra near-zero event round to mop up).
-            if f.remaining <= completion_threshold(f.spec.bytes) {
+            if f.is_complete() {
                 f.transferred = f.spec.bytes;
                 f.remaining = 0.0;
                 f.rate = 0.0;
-                completed.push(*id);
+                self.newly_completed.push(flow.id);
+            } else {
+                let t = f.remaining / f.rate;
+                best = Some(best.map_or(t, |b| b.min(t)));
             }
         }
         // Completions free capacity for the survivors of their component.
-        for id in completed {
-            self.newly_completed.push(id);
-            self.leave(id);
+        for i in first_completion..self.newly_completed.len() {
+            let id = self.newly_completed[i];
+            if let Some(flow) = self.lookup(id) {
+                self.relink(flow, false);
+            }
         }
+        self.next_completion = if self.newly_completed.len() == first_completion {
+            Some(best.map(SimDuration::from_secs))
+        } else {
+            None
+        };
     }
 
     /// Flows that completed since the last call, in completion order.
@@ -364,77 +498,76 @@ impl FluidNetwork {
     /// session driving the network would hang without detecting them.
     pub fn stalled_flows(&mut self) -> Vec<FlowId> {
         self.ensure_rates();
-        self.flows
-            .iter()
-            .filter(|(_, f)| {
-                !f.paused && f.remaining > completion_threshold(f.spec.bytes) && f.rate <= EPS
+        self.live()
+            .filter(|f| {
+                let f = &self.slots[f.slot as usize];
+                f.participates() && f.rate <= EPS
             })
-            .map(|(id, _)| *id)
+            .map(|f| f.id)
             .collect()
     }
 
     /// Flows that are complete but still registered.
     pub fn completed_flows(&self) -> Vec<FlowId> {
-        self.flows
-            .iter()
-            .filter(|(_, f)| f.remaining <= completion_threshold(f.spec.bytes))
-            .map(|(id, _)| *id)
+        self.live()
+            .filter(|f| self.slots[f.slot as usize].is_complete())
+            .map(|f| f.id)
             .collect()
     }
 
     /// Forces a full rate recomputation (normally done incrementally).
     pub fn recompute(&mut self) {
         self.dirty_constraints.extend(0..self.capacities.len());
-        for (id, f) in &self.flows {
-            if !f.spec.constraints.is_empty() {
-                continue;
+        for flow in &self.index {
+            if flow.slot != VACANT && self.slots[flow.slot as usize].spec.constraints.is_empty() {
+                self.dirty_lone.push(flow.id);
             }
-            self.dirty_lone.insert(*id);
         }
         self.ensure_rates();
     }
 
-    /// Whether a flow currently takes part in the allocation.
-    fn participates(&self, id: FlowId) -> bool {
-        self.flows
-            .get(&id)
-            .map(|f| !f.paused && f.remaining > completion_threshold(f.spec.bytes))
-            .unwrap_or(false)
+    /// Registered flows in ascending id order.
+    fn live(&self) -> impl Iterator<Item = FlowRef> + '_ {
+        self.index.iter().copied().filter(|f| f.slot != VACANT)
     }
 
-    /// Registers a flow as an allocation participant and marks the affected
-    /// part of the network for re-solving.
-    fn join(&mut self, id: FlowId) {
-        let constraints = self.flows[&id].spec.constraints.clone();
-        for c in &constraints {
-            self.members[c.0].insert(id);
-        }
-        self.mark_dirty(id, &constraints);
+    /// Position of a registered flow in the id index.
+    fn index_position(&self, id: FlowId) -> Option<usize> {
+        let pos = self.index.binary_search_by_key(&id, |f| f.id).ok()?;
+        (self.index[pos].slot != VACANT).then_some(pos)
     }
 
-    /// Removes a flow from the allocation (pause, completion, removal) and
-    /// marks the affected part of the network for re-solving.
-    fn leave(&mut self, id: FlowId) {
-        let constraints = self.flows[&id].spec.constraints.clone();
-        for c in &constraints {
-            self.members[c.0].remove(&id);
-        }
-        self.mark_dirty(id, &constraints);
+    fn lookup(&self, id: FlowId) -> Option<FlowRef> {
+        self.index_position(id).map(|pos| self.index[pos])
     }
 
-    /// Marks the finite constraints a changed flow crosses; a flow that
-    /// crosses none (infinite-only or constraint-free) affects nobody else
-    /// and is queued for the lone-flow shortcut instead.
-    fn mark_dirty(&mut self, id: FlowId, constraints: &[ConstraintId]) {
+    fn state(&self, id: FlowId) -> Option<&FlowState> {
+        self.lookup(id).map(|f| &self.slots[f.slot as usize])
+    }
+
+    /// Adds a flow to (`join`) or removes it from the membership lists of
+    /// its constraints and marks the affected part of the network for
+    /// re-solving: the finite constraints it crosses, or — when it crosses
+    /// none (infinite-only or constraint-free) and so affects nobody
+    /// else — the flow itself, for the lone-flow shortcut.
+    fn relink(&mut self, flow: FlowRef, join: bool) {
         let mut has_finite = false;
-        for c in constraints {
+        for c in &self.slots[flow.slot as usize].spec.constraints {
+            let members = &mut self.members[c.0];
+            let pos = members.partition_point(|m| m.id < flow.id);
+            if join {
+                // Ids only grow: a new flow lands at the end (a push).
+                members.insert(pos, flow);
+            } else if members.get(pos).is_some_and(|m| m.id == flow.id) {
+                members.remove(pos);
+            }
             if self.capacities[c.0].is_finite() {
                 has_finite = true;
-                self.dirty_constraints.insert(c.0);
+                self.dirty_constraints.push(c.0);
             }
         }
         if !has_finite {
-            self.dirty_lone.insert(id);
+            self.dirty_lone.push(flow.id);
         }
     }
 
@@ -444,28 +577,33 @@ impl FluidNetwork {
         if self.dirty_constraints.is_empty() && self.dirty_lone.is_empty() {
             return;
         }
+        self.next_completion = None;
         for id in std::mem::take(&mut self.dirty_lone) {
             self.solve_lone(id);
         }
-        let seeds = std::mem::take(&mut self.dirty_constraints);
-        let mut visited = vec![false; self.capacities.len()];
+        let mut seeds = std::mem::take(&mut self.dirty_constraints);
+        seeds.sort_unstable();
+        seeds.dedup();
+        self.work
+            .begin_pass(self.slots.len(), self.capacities.len());
         for seed in seeds {
             if self.capacities[seed].is_finite() {
-                self.solve_component(seed, &mut visited);
+                self.solve_component(seed);
             } else {
                 // The constraint stopped binding (capacity raised to
                 // infinity): each member's residual component — and members
                 // left without any binding constraint — must be re-solved.
-                for id in self.members[seed].clone() {
-                    let first_finite = self.flows[&id]
+                for i in 0..self.members[seed].len() {
+                    let flow = self.members[seed][i];
+                    let first_finite = self.slots[flow.slot as usize]
                         .spec
                         .constraints
                         .iter()
                         .find(|c| self.capacities[c.0].is_finite())
                         .map(|c| c.0);
                     match first_finite {
-                        Some(c) => self.solve_component(c, &mut visited),
-                        None => self.solve_lone(id),
+                        Some(c) => self.solve_component(c),
+                        None => self.solve_lone(flow.id),
                     }
                 }
             }
@@ -478,11 +616,11 @@ impl FluidNetwork {
     /// own cap (or is starved if it has none — the degenerate
     /// infinite-on-infinite case).
     fn solve_lone(&mut self, id: FlowId) {
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(flow) = self.lookup(id) else {
             return;
         };
-        let active = !f.paused && f.remaining > completion_threshold(f.spec.bytes);
-        f.rate = if active && f.spec.rate_cap.is_finite() {
+        let f = &mut self.slots[flow.slot as usize];
+        f.rate = if f.participates() && f.spec.rate_cap.is_finite() {
             f.spec.rate_cap
         } else {
             0.0
@@ -490,91 +628,104 @@ impl FluidNetwork {
     }
 
     /// Solves the component reachable from `seed` through finite
-    /// constraints (skipping it if a previous seed already covered it) and
-    /// installs the resulting rates.
-    fn solve_component(&mut self, seed: usize, visited: &mut [bool]) {
-        if visited[seed] {
+    /// constraints (skipping it if an earlier seed of this pass already
+    /// covered it) and installs the resulting rates.
+    fn solve_component(&mut self, seed: usize) {
+        if self.work.constraint_mark[seed] == self.work.epoch {
             return;
         }
-        let subset = self.collect_component(seed, visited);
-        if subset.is_empty() {
+        self.collect_component(seed);
+        if self.work.component.is_empty() {
             return;
         }
-        let rates = Self::solve(&self.capacities, &self.flows, &subset);
-        for (id, rate) in subset.iter().zip(rates) {
-            // simlint: allow(R4, collect_component only returns ids present in the flow map)
-            self.flows.get_mut(id).expect("component flow exists").rate = rate;
+        Self::solve(&self.capacities, &self.slots, &mut self.work);
+        for (flow, &rate) in self.work.component.iter().zip(&self.work.rate) {
+            self.slots[flow.slot as usize].rate = rate;
         }
     }
 
-    /// The transitive closure of flows connected to `seed` through
-    /// finite-capacity constraints, in deterministic (id) order. Marks the
-    /// finite constraints it spans as visited.
-    fn collect_component(&self, seed: usize, visited: &mut [bool]) -> Vec<FlowId> {
-        let mut stack = vec![seed];
-        visited[seed] = true;
-        let mut subset: BTreeSet<FlowId> = BTreeSet::new();
+    /// Gathers into `work.component` the transitive closure of flows
+    /// connected to `seed` through finite-capacity constraints, in
+    /// ascending id order, and into `work.span` the finite constraints it
+    /// spans, marking both as visited in the current pass.
+    fn collect_component(&mut self, seed: usize) {
+        let Workspace {
+            epoch,
+            flow_mark,
+            constraint_mark,
+            stack,
+            component,
+            span,
+            ..
+        } = &mut *self.work;
+        component.clear();
+        span.clear();
+        constraint_mark[seed] = *epoch;
+        stack.push(seed);
         while let Some(c) = stack.pop() {
-            for id in &self.members[c] {
-                if !subset.insert(*id) {
+            span.push(c);
+            for &flow in &self.members[c] {
+                let mark = &mut flow_mark[flow.slot as usize];
+                if *mark == *epoch {
                     continue;
                 }
-                for c2 in &self.flows[id].spec.constraints {
-                    if !visited[c2.0] && self.capacities[c2.0].is_finite() {
-                        visited[c2.0] = true;
+                *mark = *epoch;
+                component.push(flow);
+                for c2 in &self.slots[flow.slot as usize].spec.constraints {
+                    if constraint_mark[c2.0] != *epoch && self.capacities[c2.0].is_finite() {
+                        constraint_mark[c2.0] = *epoch;
                         stack.push(c2.0);
                     }
                 }
             }
         }
-        subset.into_iter().collect()
+        component.sort_unstable_by_key(|f| f.id);
+        span.sort_unstable();
     }
 
-    /// Weighted max-min fair allocation of one component via progressive
-    /// filling: raise every unfrozen flow's rate in lockstep
+    /// Weighted max-min fair allocation of `work.component` via
+    /// progressive filling: raise every unfrozen flow's rate in lockstep
     /// (proportionally to its weight) until either the flow hits its own
-    /// cap or one of its constraints saturates; freeze and repeat.
+    /// cap or one of its constraints saturates; freeze and repeat. The
+    /// rates land in `work.rate`.
     ///
-    /// `subset` must be *closed*: every finite constraint crossed by a
-    /// subset flow has all of its participating flows in the subset. The
-    /// result then depends only on the subset, which is what makes the
-    /// incremental path equivalent to a from-scratch solve.
-    fn solve(
-        capacities: &[f64],
-        flows: &BTreeMap<FlowId, FlowState>,
-        subset: &[FlowId],
-    ) -> Vec<f64> {
+    /// The component must be *closed*: every finite constraint crossed by
+    /// a component flow has all of its participating flows in the
+    /// component, and `work.span` lists exactly those constraints. The
+    /// result then depends only on the component, which is what makes the
+    /// incremental path equivalent to a from-scratch solve. (Infinite
+    /// constraints are left out of the span: they never limit the
+    /// increment and never saturate.)
+    fn solve(capacities: &[f64], slots: &[FlowState], work: &mut Workspace) {
+        let Workspace {
+            component,
+            span,
+            cap_left,
+            weight_on,
+            rate,
+            unfrozen,
+            ..
+        } = work;
         let n_constraints = capacities.len();
-        let mut cap_left = capacities.to_vec();
+        cap_left.clear();
+        cap_left.extend_from_slice(capacities);
+        rate.clear();
+        rate.resize(component.len(), 0.0);
+        unfrozen.clear();
+        unfrozen.extend(0..component.len());
+        let state = |i: usize| &slots[component[i].slot as usize];
 
-        // Index-based working set: one map lookup per flow up front, then
-        // the hot rounds below touch only vectors (a machine-scale
-        // component holds thousands of flows).
-        let states: Vec<&FlowState> = subset.iter().map(|id| &flows[id]).collect();
-
-        // The constraints the subset actually touches, in index order.
-        let span: Vec<usize> = {
-            let mut span: BTreeSet<usize> = BTreeSet::new();
-            for f in &states {
-                span.extend(f.spec.constraints.iter().map(|c| c.0));
-            }
-            span.into_iter().collect()
-        };
-
-        let mut rate = vec![0.0f64; subset.len()];
-        let mut unfrozen: Vec<usize> = (0..subset.len()).collect();
-        let mut weight_on = vec![0.0f64; n_constraints];
         let mut guard = 0usize;
         let max_iters = unfrozen.len() + n_constraints + 2;
         while !unfrozen.is_empty() && guard <= max_iters {
             guard += 1;
 
             // Weight crossing each constraint.
-            for &c in &span {
+            for &c in span.iter() {
                 weight_on[c] = 0.0;
             }
-            for &i in &unfrozen {
-                let f = states[i];
+            for &i in unfrozen.iter() {
+                let f = state(i);
                 for c in &f.spec.constraints {
                     weight_on[c.0] += f.spec.weight;
                 }
@@ -582,15 +733,15 @@ impl FluidNetwork {
 
             // Largest uniform per-weight increment permitted by constraints.
             let mut delta = f64::INFINITY;
-            for &c in &span {
+            for &c in span.iter() {
                 let w = weight_on[c];
                 if w > EPS {
                     delta = delta.min((cap_left[c]).max(0.0) / w);
                 }
             }
             // ... and by per-flow caps.
-            for &i in &unfrozen {
-                let f = states[i];
+            for &i in unfrozen.iter() {
+                let f = state(i);
                 if f.spec.rate_cap.is_finite() {
                     delta = delta.min((f.spec.rate_cap - rate[i]).max(0.0) / f.spec.weight);
                 }
@@ -604,10 +755,10 @@ impl FluidNetwork {
 
             // Apply the increment.
             if delta > 0.0 {
-                for &i in &unfrozen {
-                    rate[i] += states[i].spec.weight * delta;
+                for &i in unfrozen.iter() {
+                    rate[i] += state(i).spec.weight * delta;
                 }
-                for &c in &span {
+                for &c in span.iter() {
                     let w = weight_on[c];
                     if w > EPS {
                         cap_left[c] -= w * delta;
@@ -618,43 +769,46 @@ impl FluidNetwork {
             // Freeze flows that hit their cap or cross a saturated constraint.
             let before = unfrozen.len();
             unfrozen.retain(|&i| {
-                let f = states[i];
+                let f = state(i);
                 let capped = f.spec.rate_cap.is_finite() && rate[i] >= f.spec.rate_cap - EPS;
                 let blocked = f.spec.constraints.iter().any(|c| cap_left[c.0] <= EPS);
                 !(capped || blocked)
             });
             if unfrozen.len() == before && delta <= EPS {
                 // No progress possible (all remaining flows starved).
-                for &i in &unfrozen {
+                for &i in unfrozen.iter() {
                     rate[i] = 0.0;
                 }
                 break;
             }
         }
-        rate
     }
 
     /// Debug-only invariant: the incrementally maintained allocation must
     /// agree with a from-scratch solve of every component.
     #[cfg(debug_assertions)]
-    fn assert_consistent(&self) {
-        let mut expected: BTreeMap<FlowId, f64> = BTreeMap::new();
-        let mut visited = vec![false; self.capacities.len()];
+    fn assert_consistent(&mut self) {
+        let mut expected: Vec<Option<f64>> = vec![None; self.slots.len()];
+        self.work
+            .begin_pass(self.slots.len(), self.capacities.len());
         for c in 0..self.capacities.len() {
-            if visited[c] || !self.capacities[c].is_finite() {
+            if self.work.constraint_mark[c] == self.work.epoch || !self.capacities[c].is_finite() {
                 continue;
             }
-            let subset = self.collect_component(c, &mut visited);
-            if subset.is_empty() {
+            self.collect_component(c);
+            if self.work.component.is_empty() {
                 continue;
             }
-            let rates = Self::solve(&self.capacities, &self.flows, &subset);
-            expected.extend(subset.into_iter().zip(rates));
+            Self::solve(&self.capacities, &self.slots, &mut self.work);
+            for (flow, &rate) in self.work.component.iter().zip(&self.work.rate) {
+                expected[flow.slot as usize] = Some(rate);
+            }
         }
-        for (id, f) in &self.flows {
-            let want = if !f.paused && f.remaining > completion_threshold(f.spec.bytes) {
-                match expected.get(id) {
-                    Some(&r) => r,
+        for flow in self.live() {
+            let f = &self.slots[flow.slot as usize];
+            let want = if f.participates() {
+                match expected[flow.slot as usize] {
+                    Some(r) => r,
                     // Not in any finite component: the lone-flow shortcut.
                     None if f.spec.rate_cap.is_finite() => f.spec.rate_cap,
                     None => 0.0,
@@ -665,16 +819,25 @@ impl FluidNetwork {
             let tolerance = 1e-9 * want.abs().max(1.0);
             debug_assert!(
                 (f.rate - want).abs() <= tolerance,
-                "incremental allocation diverged for {id:?}: have {}, from-scratch {want}",
+                "incremental allocation diverged for {:?}: have {}, from-scratch {want}",
+                flow.id,
                 f.rate
             );
         }
+    }
+
+    /// Slab slots allocated (live plus recyclable) and id-index entries
+    /// (live plus not yet swept), for storage-bound tests.
+    #[cfg(test)]
+    fn storage_len(&self) -> (usize, usize) {
+        (self.slots.len(), self.index.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6 * b.abs().max(1.0)
@@ -1014,5 +1177,153 @@ mod tests {
         // And freed capacity is immediately available to a new flow.
         let late = net.add_flow(FlowSpec::new(1e6, 1.0, f64::INFINITY, vec![server]));
         assert!(approx(net.rate(late), 100.0));
+    }
+
+    // --- Bit-identity of the incremental path and storage bounds ---
+
+    fn random_capacity(rng: &mut DetRng) -> f64 {
+        match rng.below(6) {
+            0 => 0.0,
+            1 => f64::INFINITY,
+            _ => rng.uniform(1.0, 1000.0),
+        }
+    }
+
+    fn random_flow(rng: &mut DetRng, constraints: &[ConstraintId]) -> FlowSpec {
+        let bytes = if rng.below(10) == 0 {
+            0.0
+        } else {
+            rng.uniform(1.0, 5000.0)
+        };
+        let mut crossed: Vec<ConstraintId> = constraints
+            .iter()
+            .copied()
+            .filter(|_| rng.below(2) == 0)
+            .collect();
+        crossed.truncate(3);
+        let rate_cap = if crossed.is_empty() || rng.below(3) == 0 {
+            rng.uniform(1.0, 400.0)
+        } else {
+            f64::INFINITY
+        };
+        FlowSpec::new(bytes, rng.uniform(0.5, 8.0), rate_cap, crossed)
+    }
+
+    fn assert_ascending(ids: &[FlowId], what: &str) {
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "{what} not in ascending id order: {ids:?}"
+        );
+    }
+
+    /// Rates and aggregate rate after an incremental re-solve must equal —
+    /// bit for bit — those of a from-scratch `recompute` of the same
+    /// state, and the (possibly cached) next completion must equal a
+    /// fresh scan of the flows' progress.
+    fn assert_matches_full_recompute(net: &mut FluidNetwork, step: usize) {
+        let mut fresh = net.clone();
+        fresh.recompute();
+        let ids: Vec<FlowId> = net.flow_ids().collect();
+        assert_ascending(&ids, "flow_ids");
+        assert_eq!(ids, fresh.flow_ids().collect::<Vec<_>>());
+        for &id in &ids {
+            assert_eq!(
+                net.rate(id).to_bits(),
+                fresh.rate(id).to_bits(),
+                "step {step}: {id:?} rate {} vs from-scratch {}",
+                net.rate(id),
+                fresh.rate(id)
+            );
+        }
+        assert_eq!(
+            net.aggregate_rate().to_bits(),
+            fresh.aggregate_rate().to_bits()
+        );
+        let scanned = ids
+            .iter()
+            .filter_map(|&id| {
+                let p = net.progress(id).unwrap();
+                let active = !p.paused && !net.is_complete(id) && p.rate > EPS;
+                active.then(|| p.remaining / p.rate)
+            })
+            .reduce(f64::min)
+            .map(SimDuration::from_secs);
+        assert_eq!(net.time_to_next_completion(), scanned, "step {step}");
+        assert_ascending(&net.completed_flows(), "completed_flows");
+        assert_ascending(&net.stalled_flows(), "stalled_flows");
+    }
+
+    #[test]
+    fn incremental_rates_match_a_full_recompute_bit_for_bit() {
+        for seed in 0..32 {
+            let mut rng = DetRng::new(seed);
+            let mut net = FluidNetwork::new();
+            let constraints: Vec<ConstraintId> = (0..1 + rng.below(5))
+                .map(|_| net.add_constraint(random_capacity(&mut rng)))
+                .collect();
+            let mut ids: Vec<FlowId> = Vec::new();
+            for step in 0..250 {
+                let pick = |rng: &mut DetRng, ids: &[FlowId]| {
+                    (!ids.is_empty()).then(|| ids[rng.below(ids.len() as u64) as usize])
+                };
+                match rng.below(10) {
+                    0..=2 => ids.push(net.add_flow(random_flow(&mut rng, &constraints))),
+                    3 => {
+                        if let Some(id) = pick(&mut rng, &ids) {
+                            net.remove_flow(id);
+                            ids.retain(|&i| i != id);
+                        }
+                    }
+                    4 => {
+                        if let Some(id) = pick(&mut rng, &ids) {
+                            net.pause_flow(id);
+                        }
+                    }
+                    5 => {
+                        if let Some(id) = pick(&mut rng, &ids) {
+                            net.resume_flow(id);
+                        }
+                    }
+                    6 => {
+                        let c = constraints[rng.below(constraints.len() as u64) as usize];
+                        net.set_capacity(c, random_capacity(&mut rng));
+                    }
+                    _ => {
+                        // Either exactly to the next completion or by an
+                        // arbitrary step.
+                        let dt = match net.time_to_next_completion() {
+                            Some(t) if rng.below(2) == 0 => t,
+                            _ => SimDuration::from_secs(rng.uniform(0.0, 5.0)),
+                        };
+                        net.advance(dt);
+                        assert_ascending(&net.drain_completed(), "drain_completed");
+                    }
+                }
+                assert_matches_full_recompute(&mut net, step);
+            }
+        }
+    }
+
+    #[test]
+    fn churn_keeps_storage_bounded() {
+        // One long-lived flow pins the low end of the id range while
+        // 100 000 short flows come and go, never more than 8 live at once.
+        let mut net = FluidNetwork::new();
+        let server = net.add_constraint(100.0);
+        let anchor = net.add_flow(FlowSpec::new(1e12, 1.0, f64::INFINITY, vec![server]));
+        let mut live: std::collections::VecDeque<FlowId> = std::collections::VecDeque::new();
+        for _ in 0..100_000 {
+            live.push_back(net.add_flow(FlowSpec::new(1e3, 1.0, f64::INFINITY, vec![server])));
+            if live.len() == 7 {
+                let oldest = live.pop_front().unwrap();
+                assert!(net.remove_flow(oldest).is_some());
+            }
+            assert!(net.rate(anchor) > 0.0);
+        }
+        assert_eq!(net.flow_count(), 7);
+        let (slots, index) = net.storage_len();
+        assert!(slots <= 8, "slab grew to {slots} slots");
+        assert!(index <= 2 * 8 + 1, "id index grew to {index} entries");
+        assert_eq!(net.members[server.0].len(), 7);
     }
 }
