@@ -341,35 +341,26 @@ fn bench_policy_overhead(c: &mut Criterion) {
     };
 
     let mut group = c.benchmark_group("policy_overhead");
-    // Boxed built-ins (the legacy strategies through the trait)…
-    for strategy in [
-        Strategy::FcfsSerialize,
-        Strategy::Interrupt,
-        Strategy::Dynamic,
+    // Registry-built policies: three of the paper's strategies and an
+    // extended one…
+    let registry = PolicyRegistry::standard();
+    for spec in [
+        Strategy::FcfsSerialize.spec(),
+        Strategy::Interrupt.spec(),
+        Strategy::Dynamic.spec(),
+        PolicySpec::with_arg("rr", "10s"),
     ] {
-        group.bench_function(&format!("arbiter_{}", strategy.label()), |bench| {
+        group.bench_function(&format!("arbiter_{spec}"), |bench| {
             bench.iter(|| {
-                let mut arb = Arbiter::new(
-                    strategy,
-                    DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
+                let mut arb = Arbiter::with_policy(
+                    registry
+                        .build(&spec, &DynamicPolicy::default())
+                        .expect("registered"),
                 );
                 protocol_round(&mut arb)
             })
         });
     }
-    // …a registry-built extended policy…
-    group.bench_function("arbiter_rr(10s)", |bench| {
-        let registry = PolicyRegistry::standard();
-        let spec = PolicySpec::with_arg("rr", "10s");
-        bench.iter(|| {
-            let mut arb = Arbiter::with_policy(
-                registry
-                    .build(&spec, &DynamicPolicy::default())
-                    .expect("registered"),
-            );
-            protocol_round(&mut arb)
-        })
-    });
     // …and the raw cost model alone, as the dispatch-free baseline the
     // dynamic arbiter adds its trait indirection on top of.
     group.bench_function("dynamic_decide_baseline", |bench| {

@@ -304,7 +304,7 @@ mod tests {
         let a: Scenario = mix.scenario(Strategy::Interfere);
         let b: Scenario = mix.scenario(Strategy::FcfsSerialize);
         assert_eq!(a.apps, b.apps, "only the strategy may differ");
-        assert_ne!(a.strategy, b.strategy);
+        assert_ne!(a.arbitration, b.arbitration);
     }
 
     /// The full-scale acceptance run: N = 512 under all five strategies,

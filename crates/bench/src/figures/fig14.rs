@@ -117,7 +117,7 @@ pub fn run_specs(
         let mix = MachineMix { medium, ..mix(n) };
         let scenarios: Vec<_> = specs
             .iter()
-            .map(|spec| mix.scenario_with_policy(spec.clone()))
+            .map(|spec| mix.scenario(spec.clone()))
             .collect();
         // One shard: sessions execute back to back so no policy's run is
         // perturbed by another contending for cores.

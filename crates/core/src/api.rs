@@ -474,7 +474,7 @@ impl<T: CoordinationTransport, O: SimObserver> std::fmt::Debug for Coordinator<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::EfficiencyMetric;
+    use crate::arbitration::PolicyRegistry;
     use crate::policy::DynamicPolicy;
     use crate::strategy::Strategy;
     use mpiio::Granularity;
@@ -495,10 +495,10 @@ mod tests {
     }
 
     fn arbiter(strategy: Strategy) -> Arbiter {
-        Arbiter::new(
-            strategy,
-            DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
-        )
+        let policy = PolicyRegistry::standard()
+            .build(&strategy.spec(), &DynamicPolicy::default())
+            .unwrap();
+        Arbiter::with_policy(policy)
     }
 
     fn pair(strategy: Strategy) -> (Coordinator, Coordinator) {

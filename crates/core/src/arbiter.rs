@@ -14,9 +14,9 @@
 //! delay timeout) is delegated to a boxed
 //! [`ArbitrationPolicy`], which
 //! observes the state through a read-only
-//! [`ArbiterView`]. The legacy
-//! [`Strategy`] enum survives as a constructor shim ([`Arbiter::new`])
-//! that installs the corresponding built-in policy.
+//! [`ArbiterView`]. [`Arbiter::with_policy`] is the one constructor;
+//! sessions install what [`Scenario::build_policy`](crate::Scenario::build_policy)
+//! resolves.
 //!
 //! The arbiter is purely a state machine over application identifiers and
 //! exchanged [`IoInfo`]; it never touches the simulated file system, which
@@ -24,12 +24,11 @@
 //! MPI transport).
 
 use crate::arbitration::{
-    builtin_policy, ArbiterView, ArbitrationPolicy, GrantTrigger, ParkReason, ParkedQueue,
-    RequestDecision, TimeoutDecision, YieldDecision,
+    ArbiterView, ArbitrationPolicy, GrantTrigger, ParkReason, ParkedQueue, RequestDecision,
+    TimeoutDecision, YieldDecision,
 };
 use crate::info::IoInfo;
-use crate::policy::DynamicPolicy;
-use crate::strategy::{AccessOutcome, Strategy, YieldOutcome};
+use crate::strategy::{AccessOutcome, YieldOutcome};
 use pfs::AppId;
 use simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
@@ -55,9 +54,6 @@ macro_rules! view {
 pub struct Arbiter {
     /// The pluggable decision maker.
     policy: Box<dyn ArbitrationPolicy>,
-    /// The legacy strategy this arbiter was constructed from, when it was
-    /// ([`Arbiter::new`]); `None` for free-form policies.
-    strategy: Option<Strategy>,
     /// Applications currently allowed to access the file system.
     active: BTreeSet<AppId>,
     /// Parked applications in arrival order, with the reason they parked.
@@ -75,23 +71,11 @@ pub struct Arbiter {
 }
 
 impl Arbiter {
-    /// Creates an arbiter applying the given legacy strategy — a
-    /// compatibility shim over [`Arbiter::with_policy`] installing the
-    /// corresponding built-in policy. The dynamic policy configures the
-    /// cost model and is only consulted when the strategy is
-    /// [`Strategy::Dynamic`].
-    pub fn new(strategy: Strategy, policy: DynamicPolicy) -> Self {
-        let mut arbiter = Arbiter::with_policy(builtin_policy(strategy, policy));
-        arbiter.strategy = Some(strategy);
-        arbiter
-    }
-
     /// Creates an arbiter driven by an arbitrary [`ArbitrationPolicy`] —
     /// the open entry point of the arbitration layer.
     pub fn with_policy(policy: Box<dyn ArbitrationPolicy>) -> Self {
         Arbiter {
             policy,
-            strategy: None,
             active: BTreeSet::new(),
             parked: ParkedQueue::default(),
             interrupt_requested: BTreeSet::new(),
@@ -99,12 +83,6 @@ impl Arbiter {
             messages: 0,
             now: SimTime::ZERO,
         }
-    }
-
-    /// The legacy strategy in force, when the arbiter was built from one;
-    /// `None` for free-form policies.
-    pub fn strategy(&self) -> Option<Strategy> {
-        self.strategy
     }
 
     /// Display label of the installed policy (e.g. `fcfs`, `delay(30s)`,
@@ -344,15 +322,18 @@ impl Arbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbitration::{RoundRobinQuantum, ShortestRemainingFirst, WeightedPriority};
-    use crate::metrics::EfficiencyMetric;
+    use crate::arbitration::{
+        PolicyRegistry, RoundRobinQuantum, ShortestRemainingFirst, WeightedPriority,
+    };
+    use crate::policy::DynamicPolicy;
+    use crate::strategy::Strategy;
     use mpiio::Granularity;
 
     fn arbiter(strategy: Strategy) -> Arbiter {
-        Arbiter::new(
-            strategy,
-            DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
-        )
+        let policy = PolicyRegistry::standard()
+            .build(&strategy.spec(), &DynamicPolicy::default())
+            .unwrap();
+        Arbiter::with_policy(policy)
     }
 
     fn info(app: usize, procs: u32, total: f64, remaining: f64) -> IoInfo {
@@ -891,11 +872,7 @@ mod tests {
         assert_eq!(arb.yield_point(AppId(0)), copy.yield_point(AppId(0)));
         assert_eq!(arb.active(), copy.active());
         assert_eq!(arb.policy_label(), "rr(1s)");
-        assert_eq!(arb.strategy(), None);
-        assert_eq!(
-            arbiter(Strategy::FcfsSerialize).strategy(),
-            Some(Strategy::FcfsSerialize)
-        );
+        assert_eq!(arbiter(Strategy::FcfsSerialize).policy_label(), "fcfs");
     }
 
     #[test]

@@ -19,15 +19,15 @@
 //!
 //! Policies observe the arbiter through a read-only [`ArbiterView`]: the
 //! active and parked sets, the pending interruption requests, the latest
-//! [`IoInfo`] every application shared, and the simulated clock. The five
-//! legacy [`Strategy`] variants are built-in policies
-//! (constructed by [`builtin_policy`]) and reproduce the closed-enum
-//! arbiter bit for bit — the `kernel_golden` trace hashes pin this.
+//! [`IoInfo`] every application shared, and the simulated clock.
 //!
 //! Policies are *named*: [`PolicySpec`] is the serializable
 //! `name(arg)` description and [`PolicyRegistry`] turns specs into boxed
 //! policies, so scenarios, sweeps, and the bench CLI can select policies
-//! by string.
+//! by string. The paper's five options are five registry entries, and
+//! each [`Strategy`](crate::Strategy) variant is shorthand for one of
+//! their specs; they reproduce the closed-enum arbiter bit for bit — the
+//! `kernel_golden` trace hashes pin this.
 //!
 //! ## Writing a policy
 //!
@@ -66,12 +66,11 @@
 //! To make a policy usable *by name* from scenarios and the CLI, register
 //! it in a [`PolicyRegistry`] and attach its [`PolicySpec`] to the
 //! scenario with
-//! [`ScenarioBuilder::arbitration`](crate::ScenarioBuilder::arbitration).
+//! [`ScenarioBuilder::strategy`](crate::ScenarioBuilder::strategy).
 
 use crate::info::IoInfo;
 use crate::metrics::EfficiencyMetric;
 use crate::policy::{DynDecision, DynamicPolicy};
-use crate::strategy::Strategy;
 use pfs::AppId;
 use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
@@ -514,7 +513,7 @@ pub fn arg_to_secs(arg: &str) -> Option<f64> {
 // ---------------------------------------------------------------------------
 
 /// No coordination: every newcomer is admitted immediately
-/// ([`Strategy::Interfere`]).
+/// ([`Strategy::Interfere`](crate::Strategy::Interfere)).
 #[derive(Debug, Clone, Default)]
 pub struct Interfere;
 
@@ -533,7 +532,7 @@ impl ArbitrationPolicy for Interfere {
     }
 }
 
-/// First-come-first-served serialization ([`Strategy::FcfsSerialize`]).
+/// First-come-first-served serialization ([`Strategy::FcfsSerialize`](crate::Strategy::FcfsSerialize)).
 #[derive(Debug, Clone, Default)]
 pub struct FcfsSerialize;
 
@@ -550,7 +549,7 @@ impl ArbitrationPolicy for FcfsSerialize {
 }
 
 /// Interruption-based serialization: every newcomer preempts the current
-/// accessors at their next coordination point ([`Strategy::Interrupt`]).
+/// accessors at their next coordination point ([`Strategy::Interrupt`](crate::Strategy::Interrupt)).
 #[derive(Debug, Clone, Default)]
 pub struct Interrupt;
 
@@ -567,7 +566,7 @@ impl ArbitrationPolicy for Interrupt {
 }
 
 /// Bounded delay: wait for the accessor, but at most `max_wait_secs`,
-/// then overlap ([`Strategy::Delay`], Fig. 12).
+/// then overlap ([`Strategy::Delay`](crate::Strategy::Delay), Fig. 12).
 #[derive(Debug, Clone)]
 pub struct BoundedDelay {
     /// Maximum seconds a newcomer waits before overlapping.
@@ -590,7 +589,8 @@ impl ArbitrationPolicy for BoundedDelay {
 
 /// The paper's dynamic choice: minimize the extra cost each option adds
 /// to a machine-wide efficiency metric, computed from the exchanged
-/// [`IoInfo`] ([`Strategy::Dynamic`], wrapping [`DynamicPolicy`]).
+/// [`IoInfo`] ([`Strategy::Dynamic`](crate::Strategy::Dynamic), wrapping
+/// [`DynamicPolicy`]).
 #[derive(Debug, Clone)]
 pub struct DynamicMinCost {
     /// The cost model (metric + interference-estimate configuration).
@@ -770,20 +770,6 @@ impl ArbitrationPolicy for RoundRobinQuantum {
     }
     fn clone_policy(&self) -> Box<dyn ArbitrationPolicy> {
         Box::new(self.clone())
-    }
-}
-
-/// Builds the built-in policy corresponding to a legacy [`Strategy`] —
-/// the compatibility shim [`Arbiter::new`](crate::Arbiter::new) and the
-/// scenario runner use. `dynamic` configures [`DynamicMinCost`] and is
-/// ignored by the other strategies.
-pub fn builtin_policy(strategy: Strategy, dynamic: DynamicPolicy) -> Box<dyn ArbitrationPolicy> {
-    match strategy {
-        Strategy::Interfere => Box::new(Interfere),
-        Strategy::FcfsSerialize => Box::new(FcfsSerialize),
-        Strategy::Interrupt => Box::new(Interrupt),
-        Strategy::Delay { max_wait_secs } => Box::new(BoundedDelay { max_wait_secs }),
-        Strategy::Dynamic => Box::new(DynamicMinCost { policy: dynamic }),
     }
 }
 
@@ -1122,6 +1108,9 @@ mod tests {
 
     #[test]
     fn builtin_policies_match_their_strategies() {
+        use crate::Strategy;
+
+        let registry = PolicyRegistry::standard();
         let dynamic = DynamicPolicy::default();
         for (strategy, name) in [
             (Strategy::Interfere, "interfering"),
@@ -1130,13 +1119,15 @@ mod tests {
             (Strategy::Delay { max_wait_secs: 2.0 }, "delay"),
             (Strategy::Dynamic, "calciom-dynamic"),
         ] {
-            let policy = builtin_policy(strategy, dynamic);
+            let policy = registry.build(&strategy.spec(), &dynamic).unwrap();
             assert_eq!(policy.spec().name, name);
+            assert_eq!(policy.spec(), strategy.spec());
             assert_eq!(policy.needs_coordination(), strategy.needs_coordination());
             assert_eq!(policy.label(), strategy.label());
         }
+        let delay = Strategy::Delay { max_wait_secs: 2.0 };
         assert_eq!(
-            builtin_policy(Strategy::Delay { max_wait_secs: 2.0 }, dynamic).label(),
+            registry.build(&delay.spec(), &dynamic).unwrap().label(),
             "delay(2s)"
         );
     }

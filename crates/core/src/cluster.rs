@@ -682,17 +682,12 @@ impl CoordinationTransport for ClusterTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitration::FcfsSerialize;
     use crate::info::IoInfo;
-    use crate::metrics::EfficiencyMetric;
-    use crate::policy::DynamicPolicy;
-    use crate::strategy::Strategy;
     use mpiio::Granularity;
 
     fn arbiter() -> Arbiter {
-        Arbiter::new(
-            Strategy::FcfsSerialize,
-            DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
-        )
+        Arbiter::with_policy(Box::new(FcfsSerialize))
     }
 
     fn spec(slots: u32, lats_and_apps: &[(u64, &[usize])]) -> ClusterSpec {

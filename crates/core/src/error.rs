@@ -27,6 +27,11 @@ pub enum ConfigError {
     /// The scenario named an arbitration policy the registry could not
     /// resolve or instantiate.
     Policy(PolicyError),
+    /// The dynamic policy's `interference_gamma` was not in `(0, 1]`.
+    DynamicGamma {
+        /// The rejected value.
+        gamma: f64,
+    },
     /// The scenario's cluster topology was invalid.
     Cluster(ClusterConfigError),
     /// The scenario carries a cluster topology but the session was built
@@ -45,6 +50,10 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::DuplicateApp(app) => write!(f, "duplicate application id {app}"),
             ConfigError::Policy(e) => write!(f, "arbitration policy: {e}"),
+            ConfigError::DynamicGamma { gamma } => write!(
+                f,
+                "dynamic policy: interference_gamma must be in (0, 1], got {gamma}"
+            ),
             ConfigError::Cluster(e) => write!(f, "cluster topology: {e}"),
             ConfigError::ClusterUnsupported => {
                 write!(

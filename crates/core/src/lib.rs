@@ -21,13 +21,13 @@
 //! * **Dynamic** — pick whichever of the above minimizes the metric, using
 //!   the exchanged information ([`DynamicPolicy`]).
 //!
-//! The arbitration layer is *open*: all five strategies are built-in
-//! implementations of the [`ArbitrationPolicy`] trait, the
-//! [`Arbiter`] is a pure mechanism engine delegating every decision to
-//! the installed policy, and the [`PolicyRegistry`] resolves policies by
-//! name (`fcfs`, `delay(30s)`, `priority(w=cores)`, `rr(10s)`, …) so
-//! scenarios and sweeps can compare schedules the enum cannot express —
-//! see the [`arbitration`] module.
+//! The arbitration layer is *open*: a scenario names its policy once, as a
+//! [`PolicySpec`] (`fcfs`, `delay(30s)`, `priority(w=cores)`, `rr(10s)`,
+//! …) that the [`PolicyRegistry`] resolves into an [`ArbitrationPolicy`];
+//! the [`Arbiter`] is a pure mechanism engine delegating every decision
+//! to it. The paper's five options are registry entries, and each
+//! [`Strategy`] variant is shorthand for one of their specs — see the
+//! [`arbitration`] module.
 //!
 //! The crate couples three layers (all part of this reproduction):
 //! the [`pfs`] parallel-file-system simulator, the [`mpiio`] MPI-IO model

@@ -59,9 +59,9 @@
 //! assert_eq!(report.apps.len(), 2);
 //! ```
 
+use crate::arbitration::PolicySpec;
 use crate::scenario::Scenario;
 use crate::session::{AppReport, PhaseResult, SessionReport};
-use crate::strategy::Strategy;
 use pfs::{AppId, TransferId};
 use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
@@ -77,7 +77,7 @@ pub enum GrantKind {
     /// dynamic serialization).
     AfterWait,
     /// The bounded-delay budget expired and the application proceeded,
-    /// overlapping with the current accessor ([`Strategy::Delay`]).
+    /// overlapping with the current accessor ([`Strategy::Delay`](crate::Strategy::Delay)).
     DelayElapsed,
 }
 
@@ -347,8 +347,7 @@ struct PhaseAccum {
 /// reproduces the original report bit for bit.
 #[derive(Debug, Clone)]
 pub struct ReportBuilder {
-    strategy: Strategy,
-    policy_label: String,
+    policy: PolicySpec,
     seeds: Vec<AppSeed>,
     accums: BTreeMap<AppId, PhaseAccum>,
     results: BTreeMap<AppId, Vec<PhaseResult>>,
@@ -357,23 +356,20 @@ pub struct ReportBuilder {
 }
 
 impl ReportBuilder {
-    /// A builder for the given scenario (strategy, policy label and
-    /// per-app metadata are taken from it; everything else comes from the
-    /// events).
+    /// A builder for the given scenario (policy and per-app metadata are
+    /// taken from it; everything else comes from the events).
     pub fn new(scenario: &Scenario) -> Self {
         ReportBuilder::seeded(
-            scenario.strategy,
-            scenario.policy_label(),
+            scenario.arbitration.clone(),
             AppSeed::for_scenario(scenario),
         )
     }
 
     /// A builder from explicit metadata — the entry point trace replay
     /// uses, where no `Scenario` is at hand.
-    pub fn seeded(strategy: Strategy, policy_label: String, seeds: Vec<AppSeed>) -> Self {
+    pub fn seeded(policy: PolicySpec, seeds: Vec<AppSeed>) -> Self {
         ReportBuilder {
-            strategy,
-            policy_label,
+            policy,
             seeds,
             accums: BTreeMap::new(),
             results: BTreeMap::new(),
@@ -387,8 +383,7 @@ impl ReportBuilder {
     pub fn finish(self) -> SessionReport {
         let mut results = self.results;
         SessionReport {
-            strategy: self.strategy,
-            policy_label: self.policy_label,
+            policy: self.policy,
             apps: self
                 .seeds
                 .into_iter()
@@ -481,6 +476,7 @@ impl SimObserver for ReportBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Strategy;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -575,7 +571,7 @@ mod tests {
             procs: 8,
             alone_estimate_secs: 2.0,
         }];
-        let mut builder = ReportBuilder::seeded(Strategy::FcfsSerialize, "fcfs".to_string(), seeds);
+        let mut builder = ReportBuilder::seeded(Strategy::FcfsSerialize.spec(), seeds);
         let app = AppId(0);
         let tid = TransferId(0);
         builder.on_event(t(1.0), &SimEvent::PhaseStarted { app, phase: 0 });
@@ -621,7 +617,7 @@ mod tests {
             },
         );
         let report = builder.finish();
-        assert_eq!(report.strategy, Strategy::FcfsSerialize);
+        assert_eq!(report.policy, Strategy::FcfsSerialize.spec());
         assert_eq!(report.coordination_messages, 7);
         assert_eq!(report.makespan, t(5.5));
         let phase = report.apps[0].first_phase();
@@ -642,8 +638,7 @@ mod tests {
             procs: 4,
             alone_estimate_secs: 1.0,
         }];
-        let report =
-            ReportBuilder::seeded(Strategy::Interfere, "interfering".to_string(), seeds).finish();
+        let report = ReportBuilder::seeded(Strategy::Interfere.spec(), seeds).finish();
         assert_eq!(report.apps.len(), 1);
         assert!(report.apps[0].phases.is_empty());
         assert_eq!(report.makespan, SimTime::ZERO);

@@ -16,6 +16,7 @@
 //! only if `dt < T_A(alone) − T_B(alone)`, i.e. B arrived before A wrote the
 //! last `T_B`-worth of its data.
 
+use crate::error::ConfigError;
 use crate::info::IoInfo;
 use crate::metrics::EfficiencyMetric;
 use serde::{Deserialize, Serialize};
@@ -63,6 +64,17 @@ impl DynamicPolicy {
         DynamicPolicy {
             metric,
             ..Default::default()
+        }
+    }
+
+    /// Checks `interference_gamma` with the file system's rule: a finite
+    /// value in `(0, 1]`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let gamma = self.interference_gamma;
+        if gamma > 0.0 && gamma <= 1.0 {
+            Ok(())
+        } else {
+            Err(ConfigError::DynamicGamma { gamma })
         }
     }
 

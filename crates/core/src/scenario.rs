@@ -38,14 +38,12 @@ pub struct Scenario {
     pub pfs: PfsConfig,
     /// The applications running concurrently.
     pub apps: Vec<AppConfig>,
-    /// The coordination strategy in force (ignored when
-    /// [`Scenario::arbitration`] names a policy).
-    pub strategy: Strategy,
-    /// Free-form arbitration policy, resolved by name through the
-    /// standard [`PolicyRegistry`] at session-build time. `None` (the
-    /// default, and what every legacy scenario decodes to) means "use
-    /// [`Scenario::strategy`]'s built-in policy".
-    pub arbitration: Option<PolicySpec>,
+    /// The arbitration policy in force, resolved by name through the
+    /// standard [`PolicyRegistry`] ([`Scenario::build_policy`]). A
+    /// [`Strategy`] converts into its spec; the text codec reads and
+    /// writes the spec under the legacy `strategy` key when a strategy
+    /// names it.
+    pub arbitration: PolicySpec,
     /// Which bandwidth-sharing medium the file system simulates flows on.
     /// [`SharingModel::MaxMin`] (the default, and what every legacy
     /// scenario decodes to) is the exact max-min fluid solver;
@@ -62,8 +60,8 @@ pub struct Scenario {
     /// How often applications issue coordination calls (interruption
     /// granularity).
     pub granularity: Granularity,
-    /// Dynamic-selection policy (consulted only when `strategy` is
-    /// [`Strategy::Dynamic`]).
+    /// Cost model of the dynamic policy (consulted only when
+    /// `arbitration` is `calciom-dynamic`).
     pub policy: DynamicPolicy,
     /// Latency of one coordination exchange (grant/resume notification).
     pub coordination_overhead: SimDuration,
@@ -80,8 +78,7 @@ impl Scenario {
         Scenario {
             pfs,
             apps,
-            strategy: Strategy::Interfere,
-            arbitration: None,
+            arbitration: Strategy::Interfere.spec(),
             medium: SharingModel::default(),
             cluster: None,
             granularity: Granularity::Round,
@@ -98,36 +95,17 @@ impl Scenario {
         }
     }
 
-    /// Display label of the arbitration in force: the named policy's
-    /// spec text when [`Scenario::arbitration`] is set, the strategy's
-    /// parameter-carrying label otherwise. This is the string that ends
-    /// up in [`SessionReport::policy_label`](crate::SessionReport),
-    /// figure series and trace headers.
-    pub fn policy_label(&self) -> String {
-        match &self.arbitration {
-            Some(spec) => spec.to_text(),
-            None => self.strategy.label(),
-        }
-    }
-
-    /// Resolves the arbitration in force into a boxed policy: the named
-    /// registry policy when [`Scenario::arbitration`] is set, the legacy
-    /// strategy's built-in otherwise. This is the *single* resolution
-    /// path — [`Session`] construction installs exactly what this
-    /// returns, and [`Scenario::validate`] goes through it too, so a typo
-    /// in a policy name surfaces as a validation error.
+    /// Resolves [`Scenario::arbitration`] into a boxed policy through the
+    /// standard [`PolicyRegistry`]. This is the *single* resolution path —
+    /// [`Session`] construction installs exactly what this returns, and
+    /// [`Scenario::validate`] goes through it too, so a typo in a policy
+    /// name or an out-of-range argument surfaces as a validation error.
     pub fn build_policy(
         &self,
     ) -> Result<Box<dyn crate::arbitration::ArbitrationPolicy>, ConfigError> {
-        match &self.arbitration {
-            None => Ok(crate::arbitration::builtin_policy(
-                self.strategy,
-                self.policy,
-            )),
-            Some(spec) => PolicyRegistry::standard()
-                .build(spec, &self.policy)
-                .map_err(ConfigError::Policy),
-        }
+        PolicyRegistry::standard()
+            .build(&self.arbitration, &self.policy)
+            .map_err(ConfigError::Policy)
     }
 
     /// Validates the whole configuration.
@@ -136,12 +114,13 @@ impl Scenario {
         self.build_policy().map(drop)
     }
 
-    /// The policy-free half of [`Scenario::validate`]: file system and
-    /// application checks. Session construction uses this plus one
-    /// [`Scenario::build_policy`] call, so the policy is resolved exactly
-    /// once per session.
+    /// [`Scenario::validate`] short of resolving the policy: file system,
+    /// application, dynamic cost-model and topology checks. Session
+    /// construction uses this plus one [`Scenario::build_policy`] call, so
+    /// the policy is resolved exactly once per session.
     pub(crate) fn validate_workload(&self) -> Result<(), ConfigError> {
         self.pfs.validate()?;
+        self.policy.validate()?;
         if self.apps.is_empty() {
             return Err(ConfigError::NoApplications);
         }
@@ -203,11 +182,12 @@ impl Scenario {
         };
         out.push_str(HEADER);
         out.push('\n');
-        kv(&mut out, "strategy", strategy_to_text(self.strategy));
-        // Optional key: legacy documents (and every scenario without a
-        // named policy) neither emit nor require it, so their encoding is
-        // byte-identical to the pre-policy-layer format.
-        if let Some(spec) = &self.arbitration {
+        // A spec a strategy names is written as the legacy `strategy`
+        // line alone, so such documents are byte-identical to the
+        // pre-policy-layer format; any other spec adds its own key.
+        let (strategy, spec) = strategy_alias(&self.arbitration);
+        kv(&mut out, "strategy", strategy_to_text(strategy));
+        if let Some(spec) = spec {
             kv(&mut out, "arbitration", spec.to_text());
         }
         // Same optional-key convention: only non-default media are
@@ -382,12 +362,14 @@ impl Scenario {
             }
         }
 
+        // `strategy` is required and always parsed; an `arbitration` key
+        // overrides it.
+        let strategy = strategy_from_text(&take(&mut top, "strategy")?)?;
         let scenario = Scenario {
-            strategy: strategy_from_text(&take(&mut top, "strategy")?)?,
-            arbitration: top
-                .remove("arbitration")
-                .map(|v| PolicySpec::from_text(&v).map_err(|_| invalid("arbitration", &v)))
-                .transpose()?,
+            arbitration: match top.remove("arbitration") {
+                Some(v) => PolicySpec::from_text(&v).map_err(|_| invalid("arbitration", &v))?,
+                None => strategy.spec(),
+            },
             medium: top
                 .remove("medium")
                 .map(|v| SharingModel::from_label(&v).ok_or_else(|| invalid("medium", &v)))
@@ -504,20 +486,13 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the coordination strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.scenario.strategy = strategy;
-        self
-    }
-
-    /// Selects the arbitration policy by [`PolicySpec`] — any name the
-    /// standard [`PolicyRegistry`] knows, including the extended policies
-    /// no [`Strategy`] variant expresses (`priority(w=cores)`, `srpf`,
-    /// `rr(10s)`). Overrides [`ScenarioBuilder::strategy`]. The name is
-    /// resolved (and a bad spec rejected) at [`ScenarioBuilder::build`]
-    /// time.
-    pub fn arbitration(mut self, spec: PolicySpec) -> Self {
-        self.scenario.arbitration = Some(spec);
+    /// Sets the arbitration policy: a [`Strategy`] or any [`PolicySpec`]
+    /// the standard [`PolicyRegistry`] knows, including the extended
+    /// policies no strategy names (`priority(w=cores)`, `srpf`,
+    /// `rr(10s)`). The spec is resolved (and a bad one rejected) at
+    /// [`ScenarioBuilder::build`] time.
+    pub fn strategy(mut self, spec: impl Into<PolicySpec>) -> Self {
+        self.scenario.arbitration = spec.into();
         self
     }
 
@@ -569,6 +544,18 @@ impl ScenarioBuilder {
     pub fn build(self) -> Result<Scenario, ConfigError> {
         self.scenario.validate()?;
         Ok(self.scenario)
+    }
+}
+
+/// How a document names `spec`: the strategy its `strategy` line
+/// carries, plus the spec itself when no strategy names it exactly (that
+/// spec is then written under its own key after `strategy =
+/// interfering`). The scenario and trace codecs and the service's report
+/// JSON all pick their `strategy` value here.
+pub fn strategy_alias(spec: &PolicySpec) -> (Strategy, Option<&PolicySpec>) {
+    match Strategy::from_spec(spec) {
+        Some(strategy) => (strategy, None),
+        None => (Strategy::Interfere, Some(spec)),
     }
 }
 
@@ -832,9 +819,11 @@ mod tests {
             },
         ] {
             let mut scenario = sample();
-            scenario.strategy = strategy;
-            let back = Scenario::from_text(&scenario.to_text()).unwrap();
-            assert_eq!(back.strategy, strategy);
+            scenario.arbitration = strategy.spec();
+            let text = scenario.to_text();
+            assert!(!text.contains("arbitration"), "{strategy:?}");
+            let back = Scenario::from_text(&text).unwrap();
+            assert_eq!(Strategy::from_spec(&back.arbitration), Some(strategy));
         }
     }
 
@@ -863,24 +852,22 @@ mod tests {
     #[test]
     fn named_arbitration_round_trips_and_validates() {
         let mut scenario = sample();
-        scenario.arbitration = Some(PolicySpec::with_arg("rr", "10s"));
+        scenario.arbitration = PolicySpec::with_arg("rr", "10s");
         scenario.validate().unwrap();
-        assert_eq!(scenario.policy_label(), "rr(10s)");
         let text = scenario.to_text();
-        assert!(text.contains("arbitration = rr(10s)"));
+        assert!(text.contains("strategy = interfering\narbitration = rr(10s)\n"));
         let back = Scenario::from_text(&text).unwrap();
         assert_eq!(back, scenario);
 
-        // Legacy scenarios emit no arbitration key at all: their encoding
-        // is byte-identical to the pre-policy-layer format and the label
-        // falls back to the strategy's.
+        // Specs a strategy names emit no arbitration key at all: their
+        // encoding is byte-identical to the pre-policy-layer format.
         let legacy = sample();
         assert!(!legacy.to_text().contains("arbitration"));
-        assert_eq!(legacy.policy_label(), "delay(4s)");
+        assert_eq!(legacy.arbitration.to_text(), "delay(4s)");
 
         // An unknown policy name fails *validation*, not session build.
         let mut bogus = sample();
-        bogus.arbitration = Some(PolicySpec::new("warp"));
+        bogus.arbitration = PolicySpec::new("warp");
         assert!(matches!(
             bogus.validate().unwrap_err(),
             ConfigError::Policy(_)
@@ -891,6 +878,73 @@ mod tests {
             Scenario::from_text(&broken),
             Err(ScenarioParseError::InvalidValue { .. })
         ));
+    }
+
+    #[test]
+    fn documents_with_both_keys_encode_canonically() {
+        let text = sample().to_text();
+        let both = |strategy: &str, spec: &str| {
+            text.replace(
+                "strategy = delay 4.0\n",
+                &format!("strategy = {strategy}\narbitration = {spec}\n"),
+            )
+        };
+        // The `arbitration` key overrides `strategy`, and the encoding
+        // names the spec once: under its own key when no strategy names
+        // it, as the `strategy` alias when one does.
+        let rr = Scenario::from_text(&both("fcfs", "rr(10s)")).unwrap();
+        assert_eq!(rr.arbitration, PolicySpec::with_arg("rr", "10s"));
+        assert_eq!(rr.to_text(), both("interfering", "rr(10s)"));
+        let fcfs = Scenario::from_text(&both("interfering", "fcfs")).unwrap();
+        assert_eq!(fcfs.arbitration, Strategy::FcfsSerialize.spec());
+        assert_eq!(
+            fcfs.to_text(),
+            text.replace("strategy = delay 4.0\n", "strategy = fcfs\n")
+        );
+    }
+
+    #[test]
+    fn out_of_range_delay_bounds_are_policy_errors_under_either_key() {
+        let text = sample().to_text();
+        for (strategy, spec) in [
+            ("delay -5.0", "delay(-5s)"),
+            ("delay NaN", "delay(NaNs)"),
+            ("delay inf", "delay(infs)"),
+        ] {
+            let by_strategy =
+                text.replace("strategy = delay 4.0", &format!("strategy = {strategy}"));
+            let by_spec = text.replace(
+                "strategy = delay 4.0",
+                &format!("strategy = interfering\narbitration = {spec}"),
+            );
+            for doc in [by_strategy, by_spec] {
+                let scenario = Scenario::from_text(&doc).unwrap();
+                assert_eq!(scenario.arbitration.to_text(), spec);
+                assert!(
+                    matches!(scenario.validate(), Err(ConfigError::Policy(_))),
+                    "{spec} was accepted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dynamic_policy_gamma_is_validated_like_the_file_systems() {
+        for gamma in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY] {
+            let mut scenario = sample();
+            scenario.arbitration = Strategy::Dynamic.spec();
+            scenario.policy.consider_interference = true;
+            scenario.policy.interference_gamma = gamma;
+            assert!(
+                matches!(scenario.validate(), Err(ConfigError::DynamicGamma { .. })),
+                "gamma {gamma} was accepted"
+            );
+        }
+        for gamma in [0.85, 0.9, 1.0] {
+            let mut scenario = sample();
+            scenario.policy.interference_gamma = gamma;
+            scenario.validate().unwrap();
+        }
     }
 
     #[test]

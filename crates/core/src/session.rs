@@ -2,12 +2,12 @@
 //!
 //! A [`Session`] takes a [`Scenario`] — a set of applications (described
 //! by [`mpiio::AppConfig`]), a file system configuration, and a CALCioM
-//! [`Strategy`] — and plays out the whole run: each application walks its
-//! I/O plan, issues coordination calls at its yield points, and submits
-//! atomic writes to the shared [`pfs::Pfs`]. The result is a
-//! [`SessionReport`] with per-application, per-phase timings from which the
-//! experiment harnesses compute write times, interference factors, and
-//! machine-wide efficiency metrics.
+//! arbitration policy — and plays out the whole run: each application
+//! walks its I/O plan, issues coordination calls at its yield points, and
+//! submits atomic writes to the shared [`pfs::Pfs`]. The result is a
+//! [`SessionReport`] with per-application, per-phase timings from which
+//! the experiment harnesses compute write times, interference factors,
+//! and machine-wide efficiency metrics.
 //!
 //! Execution is founded on the [`simcore::Kernel`]: the kernel owns the
 //! simulated clock, couples the session's discrete events (phase arrivals,
@@ -35,12 +35,13 @@
 
 use crate::api::{CoordinationTransport, LocalTransport};
 use crate::arbiter::Arbiter;
+use crate::arbitration::PolicySpec;
 use crate::error::{AppRunState, DeadlockApp, Error, SessionError};
 use crate::info::IoInfo;
 use crate::metrics::{AppObservation, EfficiencyMetric};
 use crate::observe::{GrantKind, NullObserver, ReportBuilder, SimEvent, SimObserver};
 use crate::scenario::Scenario;
-use crate::strategy::{AccessOutcome, Strategy, YieldOutcome};
+use crate::strategy::{AccessOutcome, YieldOutcome};
 use mpiio::{AppConfig, Granularity, IoPlan, StepKind};
 use pfs::{AppId, Pfs, PfsConfig, TransferId};
 use serde::{Deserialize, Serialize};
@@ -133,14 +134,10 @@ impl AppReport {
 /// The outcome of a session run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionReport {
-    /// Strategy that was in force (the scenario's `strategy` field; see
-    /// [`SessionReport::policy_label`] for the authoritative description
-    /// when a named arbitration policy was used instead).
-    pub strategy: Strategy,
-    /// Parameter-carrying label of the arbitration in force (e.g.
-    /// `delay(30s)`, `rr(10s)`) — [`Scenario::policy_label`] of the
-    /// originating scenario.
-    pub policy_label: String,
+    /// The arbitration policy that was in force — the originating
+    /// scenario's [`Scenario::arbitration`]. Its text form (e.g.
+    /// `delay(30s)`, `rr(10s)`) labels figure series and service output.
+    pub policy: PolicySpec,
     /// Per-application reports, in the order the applications were given.
     pub apps: Vec<AppReport>,
     /// Number of coordination messages exchanged.
@@ -348,13 +345,8 @@ impl<T: CoordinationTransport> Session<T> {
         scenario.validate_workload()?;
         let cfg = scenario.clone();
         let pfs = Pfs::with_medium(cfg.pfs.clone(), cfg.medium)?;
-        // The one policy resolution of this session: legacy strategies
-        // keep the `Arbiter::new` shim (which records the strategy),
-        // named policies install what `build_policy` resolves.
-        let arbiter = match &cfg.arbitration {
-            None => Arbiter::new(cfg.strategy, cfg.policy),
-            Some(_) => Arbiter::with_policy(cfg.build_policy()?),
-        };
+        // The one policy resolution of this session.
+        let arbiter = Arbiter::with_policy(cfg.build_policy()?);
         let transport = T::for_scenario(&cfg, arbiter)?;
         let mut kernel = Kernel::new(pfs);
         let mut apps = BTreeMap::new();
@@ -846,6 +838,7 @@ mod tests {
     use super::*;
     use crate::api::SharedTransport;
     use crate::error::ConfigError;
+    use crate::strategy::Strategy;
     use mpiio::AccessPattern;
     use simcore::fair::SharingModel;
 
@@ -1108,8 +1101,7 @@ mod tests {
             wait_seconds: 0.0,
         };
         let report = SessionReport {
-            strategy: Strategy::Interfere,
-            policy_label: "interfering".into(),
+            policy: Strategy::Interfere.spec(),
             apps: vec![
                 AppReport {
                     app: AppId(0),
@@ -1268,10 +1260,8 @@ mod tests {
 
     #[test]
     fn named_policies_run_sessions_end_to_end() {
-        use crate::arbitration::PolicySpec;
         let apps = || [app(0, "A", 336, 16.0, 0.0), app(1, "B", 512, 16.0, 2.0)];
-        // A legacy strategy and its registry twin produce the same report
-        // (only the label provenance differs, and even that matches).
+        // A strategy and its spec produce the same report.
         let by_strategy = Scenario::builder(rennes())
             .apps(apps())
             .strategy(Strategy::FcfsSerialize)
@@ -1281,28 +1271,24 @@ mod tests {
             .unwrap();
         let by_spec = Scenario::builder(rennes())
             .apps(apps())
-            .arbitration(PolicySpec::new("fcfs"))
+            .strategy(PolicySpec::new("fcfs"))
             .build()
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(by_spec.policy_label, "fcfs");
-        assert_eq!(by_spec.apps, by_strategy.apps);
-        assert_eq!(
-            by_spec.coordination_messages,
-            by_strategy.coordination_messages
-        );
+        assert_eq!(by_spec, by_strategy);
+        assert_eq!(by_spec.policy.to_text(), "fcfs");
 
         // A policy the Strategy enum cannot express runs to completion:
         // under priority(w=cores), the bigger B preempts A.
         let report = Scenario::builder(rennes())
             .apps(apps())
-            .arbitration(PolicySpec::with_arg("priority", "w=cores"))
+            .strategy(PolicySpec::with_arg("priority", "w=cores"))
             .build()
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(report.policy_label, "priority(w=cores)");
+        assert_eq!(report.policy.to_text(), "priority(w=cores)");
         assert_eq!(report.apps.len(), 2);
         assert!(report.apps.iter().all(|a| !a.phases.is_empty()));
 
@@ -1310,12 +1296,12 @@ mod tests {
         // mid-phase by the quantum) pays waiting time.
         let rr = Scenario::builder(rennes())
             .apps(apps())
-            .arbitration(PolicySpec::with_arg("rr", "1s"))
+            .strategy(PolicySpec::with_arg("rr", "1s"))
             .build()
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(rr.policy_label, "rr(1s)");
+        assert_eq!(rr.policy.to_text(), "rr(1s)");
         assert!(rr.apps.iter().all(|a| !a.phases.is_empty()));
     }
 

@@ -8,11 +8,17 @@
 //! additionally shows that *delaying* one of the accesses by a bounded
 //! amount can beat both FCFS and plain interference when the observed
 //! interference is low.
+//!
+//! A [`Strategy`] is shorthand, not a second vocabulary: each variant
+//! names one [`PolicySpec`] of the standard
+//! [`PolicyRegistry`](crate::arbitration::PolicyRegistry), and scenarios,
+//! traces and reports carry the spec.
 
-use crate::arbitration::PolicySpec;
+use crate::arbitration::{arg_to_secs, secs_to_arg, PolicySpec};
 use serde::{Deserialize, Serialize};
 
-/// The I/O scheduling strategy applied by CALCioM.
+/// The paper's five coordination options, each naming one [`PolicySpec`]
+/// ([`Strategy::spec`], `From<Strategy> for PolicySpec`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Strategy {
     /// No coordination: applications access the file system concurrently
@@ -57,16 +63,40 @@ impl Strategy {
             Strategy::FcfsSerialize => PolicySpec::new("fcfs"),
             Strategy::Interrupt => PolicySpec::new("interrupt"),
             Strategy::Delay { max_wait_secs } => {
-                PolicySpec::with_arg("delay", crate::arbitration::secs_to_arg(max_wait_secs))
+                PolicySpec::with_arg("delay", secs_to_arg(max_wait_secs))
             }
             Strategy::Dynamic => PolicySpec::new("calciom-dynamic"),
         }
+    }
+
+    /// The exact inverse of [`Strategy::spec`]: the strategy whose spec is
+    /// `spec`, or `None` when no strategy names it — a registry-only
+    /// policy, an argument on a parameterless name, an out-of-range bound,
+    /// or a non-canonical spelling (`delay`, `delay(5)`, `delay(5.0s)`).
+    pub fn from_spec(spec: &PolicySpec) -> Option<Strategy> {
+        let strategy = match (spec.name.as_str(), spec.arg.as_deref()) {
+            ("interfering", None) => Strategy::Interfere,
+            ("fcfs", None) => Strategy::FcfsSerialize,
+            ("interrupt", None) => Strategy::Interrupt,
+            ("calciom-dynamic", None) => Strategy::Dynamic,
+            ("delay", Some(arg)) => Strategy::Delay {
+                max_wait_secs: arg_to_secs(arg)?,
+            },
+            _ => return None,
+        };
+        (strategy.spec() == *spec).then_some(strategy)
     }
 
     /// Whether this strategy requires cross-application coordination (i.e.
     /// is only available through CALCioM).
     pub fn needs_coordination(&self) -> bool {
         !matches!(self, Strategy::Interfere)
+    }
+}
+
+impl From<Strategy> for PolicySpec {
+    fn from(strategy: Strategy) -> Self {
+        strategy.spec()
     }
 }
 
@@ -130,6 +160,33 @@ mod tests {
         // Parameterless labels stay exactly what figures always printed.
         assert_eq!(Strategy::Interfere.label(), "interfering");
         assert_eq!(Strategy::Dynamic.label(), "calciom-dynamic");
+    }
+
+    #[test]
+    fn from_spec_accepts_only_the_canonical_spellings() {
+        for strategy in [
+            Strategy::Interfere,
+            Strategy::FcfsSerialize,
+            Strategy::Interrupt,
+            Strategy::Delay { max_wait_secs: 2.5 },
+            Strategy::Dynamic,
+        ] {
+            assert_eq!(Strategy::from_spec(&strategy.spec()), Some(strategy));
+            assert_eq!(PolicySpec::from(strategy), strategy.spec());
+        }
+        for spec in [
+            PolicySpec::new("delay"),
+            PolicySpec::with_arg("delay", "5"),
+            PolicySpec::with_arg("delay", "5.0s"),
+            PolicySpec::with_arg("delay", "-5s"),
+            PolicySpec::with_arg("delay", "NaNs"),
+            PolicySpec::with_arg("fcfs", "x"),
+            PolicySpec::with_arg("calciom-dynamic", "total-io-time"),
+            PolicySpec::with_arg("rr", "10s"),
+            PolicySpec::new("srpf"),
+        ] {
+            assert_eq!(Strategy::from_spec(&spec), None, "{spec}");
+        }
     }
 
     #[test]

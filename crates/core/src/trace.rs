@@ -2,7 +2,7 @@
 //!
 //! A [`Trace`] is the complete record of one session's observable event
 //! stream (see [`SimEvent`]) plus the small amount of static metadata the
-//! report needs (strategy, per-application name/procs/alone-estimate). It
+//! report needs (policy, per-application name/procs/alone-estimate). It
 //! is produced by a [`TraceRecorder`] attached to
 //! [`Session::execute_with`](crate::Session::execute_with) and round-trips
 //! through a plain-text codec in the same `key = value` style as the
@@ -38,7 +38,6 @@ use crate::error::TraceParseError;
 use crate::observe::{AppSeed, GrantKind, ReportBuilder, SimEvent, SimObserver};
 use crate::scenario::{self, invalid, parse_num, reject_leftovers, take, Scenario};
 use crate::session::SessionReport;
-use crate::strategy::Strategy;
 use pfs::{AppId, TransferId};
 use serde::{Deserialize, Serialize};
 use simcore::observe::{EventLog, Stamped};
@@ -53,13 +52,11 @@ const HEADER: &str = "calciom-trace v1";
 /// replay it into a [`SessionReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
-    /// Strategy that was in force.
-    pub strategy: Strategy,
-    /// The named arbitration policy in force, when the session ran one
-    /// ([`Scenario::arbitration`]); `None` for legacy strategy runs —
-    /// whose text encoding is then byte-identical to the
+    /// The arbitration policy in force ([`Scenario::arbitration`]). A
+    /// spec a [`Strategy`](crate::Strategy) names is encoded as the legacy
+    /// `strategy` line alone, so such traces are byte-identical to the
     /// pre-policy-layer format (the `kernel_golden` hashes pin this).
-    pub policy: Option<PolicySpec>,
+    pub policy: PolicySpec,
     /// Per-application metadata, in scenario order.
     pub apps: Vec<AppSeed>,
     /// The events, in emission order.
@@ -92,11 +89,7 @@ impl Trace {
     /// simulation's own report is folded from the same stream, so this
     /// reproduces it bit for bit.
     pub fn replay_report(&self) -> SessionReport {
-        let label = match &self.policy {
-            Some(spec) => spec.to_text(),
-            None => self.strategy.label(),
-        };
-        let mut builder = ReportBuilder::seeded(self.strategy, label, self.apps.clone());
+        let mut builder = ReportBuilder::seeded(self.policy.clone(), self.apps.clone());
         self.replay_into(&mut builder);
         builder.finish()
     }
@@ -112,14 +105,10 @@ impl Trace {
         let mut out = String::new();
         out.push_str(HEADER);
         out.push('\n');
-        let _ = writeln!(
-            out,
-            "strategy = {}",
-            scenario::strategy_to_text(self.strategy)
-        );
-        // Optional key: absent for legacy strategy runs, keeping their
-        // encoding byte-identical to the pre-policy-layer format.
-        if let Some(spec) = &self.policy {
+        // The scenario codec's rule, under the `policy` key.
+        let (strategy, spec) = scenario::strategy_alias(&self.policy);
+        let _ = writeln!(out, "strategy = {}", scenario::strategy_to_text(strategy));
+        if let Some(spec) = spec {
             let _ = writeln!(out, "policy = {}", spec.to_text());
         }
         for app in &self.apps {
@@ -245,10 +234,10 @@ impl Trace {
             let v = take(&mut top, "strategy")?;
             scenario::strategy_from_text(&v).map_err(|_| invalid("strategy", &v))?
         };
-        let policy = top
-            .remove("policy")
-            .map(|v| PolicySpec::from_text(&v).map_err(|_| invalid("policy", &v)))
-            .transpose()?;
+        let policy = match top.remove("policy") {
+            Some(v) => PolicySpec::from_text(&v).map_err(|_| invalid("policy", &v))?,
+            None => strategy.spec(),
+        };
         reject_leftovers(top)?;
         let apps = apps
             .into_iter()
@@ -267,7 +256,6 @@ impl Trace {
             })
             .collect::<Result<Vec<_>, TraceParseError>>()?;
         Ok(Trace {
-            strategy,
             policy,
             apps,
             events,
@@ -376,8 +364,7 @@ impl scenario::CodecError for TraceParseError {
 /// see the [module docs](self) for a complete example.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecorder {
-    strategy: Strategy,
-    policy: Option<PolicySpec>,
+    policy: PolicySpec,
     apps: Vec<AppSeed>,
     log: EventLog<SimEvent>,
 }
@@ -386,7 +373,6 @@ impl TraceRecorder {
     /// A recorder for a run of the given scenario.
     pub fn for_scenario(scenario: &Scenario) -> Self {
         TraceRecorder {
-            strategy: scenario.strategy,
             policy: scenario.arbitration.clone(),
             apps: AppSeed::for_scenario(scenario),
             log: EventLog::new(),
@@ -406,7 +392,6 @@ impl TraceRecorder {
     /// Consumes the recorder and returns the trace.
     pub fn into_trace(self) -> Trace {
         Trace {
-            strategy: self.strategy,
             policy: self.policy,
             apps: self.apps,
             events: self.log.into_events(),
@@ -429,6 +414,7 @@ impl SimObserver for TraceRecorder {
 mod tests {
     use super::*;
     use crate::session::Session;
+    use crate::strategy::Strategy;
     use mpiio::{AccessPattern, AppConfig};
     use pfs::PfsConfig;
 
@@ -496,22 +482,27 @@ mod tests {
     #[test]
     fn policy_runs_record_their_spec_and_round_trip() {
         // A named-policy session's trace carries the spec, survives the
-        // codec, and replays to the exact report — while a legacy run's
+        // codec, and replays to the exact report — while a strategy run's
         // trace has no `policy` line at all (golden-hash compatibility).
         let mut s = scenario(Strategy::Interfere);
-        s.arbitration = Some(PolicySpec::with_arg("rr", "1s"));
+        s.arbitration = PolicySpec::with_arg("rr", "1s");
         let (report, trace) = record(&s);
         assert_eq!(trace.policy, s.arbitration);
         let text = trace.to_text();
-        assert!(text.contains("policy = rr(1s)"));
+        assert!(text.contains("strategy = interfering\npolicy = rr(1s)\n"));
         let decoded = Trace::from_text(&text).unwrap();
         assert_eq!(decoded, trace);
         assert_eq!(decoded.replay_report(), report);
-        assert_eq!(report.policy_label, "rr(1s)");
+        assert_eq!(report.policy.to_text(), "rr(1s)");
 
         let (_, legacy) = record(&scenario(Strategy::FcfsSerialize));
-        assert_eq!(legacy.policy, None);
+        assert_eq!(legacy.policy, Strategy::FcfsSerialize.spec());
         assert!(!legacy.to_text().contains("policy ="));
+        // A strategy's spec spelled out under `policy` encodes as the alias.
+        let spelled = legacy
+            .to_text()
+            .replace("strategy = fcfs", "strategy = interfering\npolicy = fcfs");
+        assert_eq!(Trace::from_text(&spelled).unwrap(), legacy);
 
         // A malformed policy line is rejected.
         let broken = text.replace("policy = rr(1s)", "policy = rr(1s");

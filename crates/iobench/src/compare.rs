@@ -1,74 +1,21 @@
-//! Side-by-side comparison of scheduling strategies on one scenario.
+//! Side-by-side comparison of arbitration policies on one scenario.
 //!
 //! Figures 9–11 of the paper plot the same workload under several
 //! strategies (interfering, FCFS, interruption, CALCioM's dynamic choice).
-//! This module runs one scenario once per strategy, measures the
-//! stand-alone baselines, and exposes the per-application interference
-//! factors and machine-wide metrics for each strategy.
+//! This module runs one scenario once per [`PolicySpec`] — a
+//! [`Strategy`](calciom::Strategy)'s spec or any other registry policy —
+//! measures the stand-alone baselines, and exposes the per-application
+//! interference factors and machine-wide metrics for each policy.
 
 use crate::baseline::alone_time_cached;
 use crate::parallel::run_scenarios;
 use calciom::{
     AppObservation, DynamicPolicy, EfficiencyMetric, Error, Granularity, PolicySpec, Scenario,
-    SessionReport, Strategy,
+    SessionReport,
 };
 use mpiio::AppConfig;
 use pfs::{AppId, PfsConfig};
 use std::collections::BTreeMap;
-
-/// Result of running one scenario under one strategy.
-#[derive(Debug, Clone)]
-pub struct StrategyRun {
-    /// The strategy.
-    pub strategy: Strategy,
-    /// The full session report.
-    pub report: SessionReport,
-}
-
-impl StrategyRun {
-    /// Observed first-phase I/O time of the given application.
-    pub fn io_time(&self, app: AppId) -> Option<f64> {
-        self.report.app(app).map(|a| a.first_phase().io_time())
-    }
-}
-
-/// A full comparison: stand-alone baselines plus one run per strategy.
-#[derive(Debug, Clone)]
-pub struct StrategyComparison {
-    /// Stand-alone I/O time per application.
-    pub alone: BTreeMap<AppId, f64>,
-    /// One run per strategy, in the order requested.
-    pub runs: Vec<StrategyRun>,
-}
-
-impl StrategyComparison {
-    /// The run for a given strategy. Strategies compare structurally, so
-    /// two `Delay` strategies with different bounds are distinct runs.
-    pub fn run(&self, strategy: Strategy) -> Option<&StrategyRun> {
-        self.runs.iter().find(|r| r.strategy == strategy)
-    }
-
-    /// Interference factor of `app` under `strategy`.
-    pub fn factor(&self, strategy: Strategy, app: AppId) -> Option<f64> {
-        let run = self.run(strategy)?;
-        let io = run.io_time(app)?;
-        let alone = self.alone.get(&app)?;
-        Some(calciom::interference_factor(io, *alone))
-    }
-
-    /// Machine-wide metric value under `strategy`.
-    pub fn metric(&self, strategy: Strategy, metric: EfficiencyMetric) -> Option<f64> {
-        let run = self.run(strategy)?;
-        Some(run.report.metric(metric, &self.alone))
-    }
-
-    /// Observations (procs, observed, alone) for `strategy`, e.g. to feed
-    /// [`calciom::cpu_seconds_wasted_per_core`].
-    pub fn observations(&self, strategy: Strategy) -> Option<Vec<AppObservation>> {
-        let run = self.run(strategy)?;
-        Some(run.report.observations(&self.alone))
-    }
-}
 
 /// Measures each application's stand-alone I/O time on the given file
 /// system, answering repeated requests from the process-wide
@@ -81,44 +28,13 @@ pub fn alone_times(pfs: &PfsConfig, apps: &[AppConfig]) -> Result<BTreeMap<AppId
     Ok(alone)
 }
 
-/// Runs the scenario once per strategy — concurrently, one
-/// `Session<SharedTransport>` per worker thread — and collects the
-/// comparison. Sessions are deterministic, so the parallel grid produces
-/// the same reports a sequential loop would.
-pub fn compare_strategies(
-    pfs: &PfsConfig,
-    apps: &[AppConfig],
-    strategies: &[Strategy],
-    granularity: Granularity,
-    policy: DynamicPolicy,
-) -> Result<StrategyComparison, Error> {
-    let alone = alone_times(pfs, apps)?;
-    let scenarios = strategies
-        .iter()
-        .map(|&strategy| {
-            Ok(Scenario::builder(pfs.clone())
-                .apps(apps.to_vec())
-                .strategy(strategy)
-                .granularity(granularity)
-                .policy(policy)
-                .build()?)
-        })
-        .collect::<Result<Vec<Scenario>, Error>>()?;
-    let runs = strategies
-        .iter()
-        .zip(run_scenarios(&scenarios, 0)?)
-        .map(|(&strategy, report)| StrategyRun { strategy, report })
-        .collect();
-    Ok(StrategyComparison { alone, runs })
-}
-
 /// Result of running one scenario under one named arbitration policy.
 #[derive(Debug, Clone)]
 pub struct PolicyRun {
     /// The policy spec that was in force.
     pub spec: PolicySpec,
-    /// The full session report (its
-    /// [`policy_label`](SessionReport::policy_label) is the spec's text).
+    /// The full session report (its [`policy`](SessionReport::policy) is
+    /// the spec).
     pub report: SessionReport,
 }
 
@@ -130,9 +46,8 @@ impl PolicyRun {
 }
 
 /// A full policy comparison: stand-alone baselines plus one run per
-/// [`PolicySpec`] — the policy-layer generalization of
-/// [`StrategyComparison`], able to sweep schedules the [`Strategy`] enum
-/// cannot express (`priority(w=cores)`, `srpf`, `rr(10s)`, …).
+/// [`PolicySpec`], the paper's strategies and schedules no strategy names
+/// (`priority(w=cores)`, `srpf`, `rr(10s)`, …) alike.
 #[derive(Debug, Clone)]
 pub struct PolicyComparison {
     /// Stand-alone I/O time per application.
@@ -193,7 +108,7 @@ pub fn compare_policies(
         .map(|spec| {
             Ok(Scenario::builder(pfs.clone())
                 .apps(apps.to_vec())
-                .arbitration(spec.clone())
+                .strategy(spec.clone())
                 .granularity(granularity)
                 .policy(policy)
                 .build()?)
@@ -213,6 +128,7 @@ pub fn compare_policies(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calciom::Strategy;
     use mpiio::AccessPattern;
 
     const MB: f64 = 1.0e6;
@@ -229,30 +145,36 @@ mod tests {
         (pfs, vec![a, b])
     }
 
+    fn compare(strategies: &[Strategy]) -> PolicyComparison {
+        let (pfs, apps) = scenario();
+        let specs: Vec<PolicySpec> = strategies.iter().map(Strategy::spec).collect();
+        compare_policies(
+            &pfs,
+            &apps,
+            &specs,
+            Granularity::Round,
+            DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn comparison_covers_all_strategies_and_baselines() {
-        let (pfs, apps) = scenario();
         let strategies = [
             Strategy::Interfere,
             Strategy::FcfsSerialize,
             Strategy::Interrupt,
             Strategy::Dynamic,
         ];
-        let cmp = compare_strategies(
-            &pfs,
-            &apps,
-            &strategies,
-            Granularity::Round,
-            DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
-        )
-        .unwrap();
+        let cmp = compare(&strategies);
         assert_eq!(cmp.runs.len(), 4);
         assert_eq!(cmp.alone.len(), 2);
         for s in strategies {
-            assert!(cmp.run(s).is_some());
-            assert!(cmp.factor(s, AppId(0)).unwrap() >= 1.0);
-            assert!(cmp.metric(s, EfficiencyMetric::TotalIoTime).unwrap() > 0.0);
-            assert_eq!(cmp.observations(s).unwrap().len(), 2);
+            let spec = s.spec();
+            assert!(cmp.run(&spec).is_some());
+            assert!(cmp.factor(&spec, AppId(0)).unwrap() >= 1.0);
+            assert!(cmp.metric(&spec, EfficiencyMetric::TotalIoTime).unwrap() > 0.0);
+            assert_eq!(cmp.observations(&spec).unwrap().len(), 2);
         }
     }
 
@@ -260,23 +182,16 @@ mod tests {
     fn small_app_suffers_most_under_fcfs_and_least_under_interrupt() {
         // Fig. 9(b): when a small application arrives after a big one, FCFS
         // is the worst option for it and interruption the best.
-        let (pfs, apps) = scenario();
-        let cmp = compare_strategies(
-            &pfs,
-            &apps,
-            &[
-                Strategy::Interfere,
-                Strategy::FcfsSerialize,
-                Strategy::Interrupt,
-            ],
-            Granularity::Round,
-            DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
-        )
-        .unwrap();
+        let cmp = compare(&[
+            Strategy::Interfere,
+            Strategy::FcfsSerialize,
+            Strategy::Interrupt,
+        ]);
         let b = AppId(1);
-        let fcfs = cmp.factor(Strategy::FcfsSerialize, b).unwrap();
-        let interrupt = cmp.factor(Strategy::Interrupt, b).unwrap();
-        let interfere = cmp.factor(Strategy::Interfere, b).unwrap();
+        let factor = |s: Strategy| cmp.factor(&s.spec(), b).unwrap();
+        let fcfs = factor(Strategy::FcfsSerialize);
+        let interrupt = factor(Strategy::Interrupt);
+        let interfere = factor(Strategy::Interfere);
         assert!(
             interrupt < interfere && interfere < fcfs,
             "interrupt={interrupt} interfere={interfere} fcfs={fcfs}"
@@ -285,29 +200,23 @@ mod tests {
 
     #[test]
     fn delay_strategies_with_different_bounds_are_distinct_runs() {
-        // The lookup is structural (`Strategy: PartialEq`), not label
-        // based: two bounded-delay runs with different budgets must not
-        // shadow each other.
-        let (pfs, apps) = scenario();
+        // The lookup is structural (`PolicySpec: PartialEq`): two
+        // bounded-delay runs with different budgets must not shadow each
+        // other.
         let short = Strategy::Delay { max_wait_secs: 1.0 };
         let long = Strategy::Delay {
             max_wait_secs: 30.0,
         };
-        let cmp = compare_strategies(
-            &pfs,
-            &apps,
-            &[short, long],
-            Granularity::Round,
-            DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
-        )
-        .unwrap();
+        let cmp = compare(&[short, long]);
         let b = AppId(1);
-        assert_eq!(cmp.run(short).unwrap().strategy, short);
-        assert_eq!(cmp.run(long).unwrap().strategy, long);
-        assert!(cmp.run(Strategy::Delay { max_wait_secs: 2.0 }).is_none());
+        assert_eq!(cmp.run(&short.spec()).unwrap().spec, short.spec());
+        assert_eq!(cmp.run(&long.spec()).unwrap().spec, long.spec());
+        assert!(cmp
+            .run(&Strategy::Delay { max_wait_secs: 2.0 }.spec())
+            .is_none());
         // The budgets genuinely differ: the long delay serializes B behind
         // A for longer than the short one.
-        let io = |s: Strategy| cmp.run(s).unwrap().io_time(b).unwrap();
+        let io = |s: Strategy| cmp.run(&s.spec()).unwrap().io_time(b).unwrap();
         assert!(io(long) >= io(short));
     }
 
@@ -334,7 +243,7 @@ mod tests {
         assert_eq!(cmp.runs.len(), specs.len());
         for spec in &specs {
             let run = cmp.run(spec).unwrap();
-            assert_eq!(run.report.policy_label, spec.to_text());
+            assert_eq!(run.report.policy, *spec);
             assert_eq!(cmp.run_labelled(&spec.to_text()).unwrap().spec, *spec);
             assert!(cmp.factor(spec, AppId(0)).unwrap() >= 1.0);
             assert!(cmp.metric(spec, EfficiencyMetric::TotalIoTime).unwrap() > 0.0);

@@ -11,9 +11,9 @@
 //! * [`delta`] — Δ-graph sweeps (write time / interference factor versus the
 //!   start offset `dt` between two applications), the device used by most
 //!   figures.
-//! * [`compare`] — run the same scenario under several strategies (or,
-//!   via [`compare_policies`], arbitrary named [`calciom::PolicySpec`]s
-//!   from the policy registry) and compare interference factors and
+//! * [`compare`] — run the same scenario under several policies
+//!   ([`compare_policies`]: a strategy's [`calciom::PolicySpec`] or any
+//!   other registry policy) and compare interference factors and
 //!   machine-wide metrics (Figs. 9–11, the `fig14_policies` panel).
 //! * [`periodic`] — periodic writers against a caching backend (Fig. 3).
 //! * [`aggregate`] — size sweeps: a small application against a big one
@@ -60,10 +60,7 @@ pub mod series;
 
 pub use aggregate::{run_size_sweep, SizeSweepConfig, SizeSweepPoint};
 pub use baseline::{alone_time_cached, BaselineCache};
-pub use compare::{
-    alone_times, compare_policies, compare_strategies, PolicyComparison, PolicyRun,
-    StrategyComparison, StrategyRun,
-};
+pub use compare::{alone_times, compare_policies, PolicyComparison, PolicyRun};
 pub use delta::{dt_range, run_delta_sweep, DeltaPoint, DeltaSweepConfig, DeltaSweepResult};
 pub use expected::{expected_factors, expected_times, ExpectedTimes};
 pub use parallel::{

@@ -9,6 +9,7 @@
 //! response cache and the concurrent-determinism test compare bodies
 //! with `==`.
 
+use calciom::scenario::strategy_alias;
 use calciom::{AppReport, PhaseResult, PolicyRegistry, SessionReport, Timeline};
 use iobench::ShardedRun;
 use std::fmt::Write as _;
@@ -104,14 +105,16 @@ fn app_json(a: &AppReport) -> String {
     )
 }
 
-/// The `/v1/run` body: the full [`SessionReport`] as JSON.
+/// The `/v1/run` body: the full [`SessionReport`] as JSON. `"strategy"`
+/// is the label of the strategy the scenario text's `strategy` line
+/// names ([`strategy_alias`]): `interfering` for registry-only policies.
 pub fn report_json(report: &SessionReport) -> String {
     let apps: Vec<String> = report.apps.iter().map(app_json).collect();
     format!(
         "{{\"policy\":{},\"strategy\":{},\"makespan_ticks\":{},\"makespan_secs\":{},\
          \"coordination_messages\":{},\"apps\":[{}]}}\n",
-        json_string(&report.policy_label),
-        json_string(&report.strategy.label()),
+        json_string(&report.policy.to_text()),
+        json_string(&strategy_alias(&report.policy).0.label()),
         report.makespan.ticks(),
         json_f64(report.makespan.as_secs()),
         report.coordination_messages,
@@ -278,6 +281,27 @@ mod tests {
         assert!(a.contains("\"coordination_messages\""));
         assert_eq!(a.matches("\"phases\"").count(), 2);
         assert!(a.ends_with('\n'));
+    }
+
+    #[test]
+    fn report_json_names_the_strategy_alias_of_its_policy() {
+        let mut report = sample_report();
+        for (spec, strategy) in [
+            (Strategy::Interfere.spec(), "interfering"),
+            (Strategy::FcfsSerialize.spec(), "fcfs"),
+            (Strategy::Interrupt.spec(), "interrupt"),
+            (Strategy::Delay { max_wait_secs: 5.0 }.spec(), "delay(5s)"),
+            (Strategy::Dynamic.spec(), "calciom-dynamic"),
+            (calciom::PolicySpec::with_arg("rr", "10s"), "interfering"),
+        ] {
+            report.policy = spec.clone();
+            let body = report_json(&report);
+            let head = format!(
+                "{{\"policy\":{},\"strategy\":\"{strategy}\",",
+                json_string(&spec.to_text())
+            );
+            assert!(body.starts_with(&head), "{body}");
+        }
     }
 
     #[test]

@@ -799,7 +799,7 @@ impl Service {
         if let Some(spec_text) = query_param_checked(request, "policy")? {
             let spec = PolicySpec::from_text(&spec_text)
                 .map_err(|e| error_response(&Error::Config(ConfigError::Policy(e))))?;
-            scenario.arbitration = Some(spec);
+            scenario.arbitration = spec;
         }
         if scenario.horizon.as_secs() > self.config.max_horizon_secs {
             return Err(Response::with_body(
@@ -881,7 +881,7 @@ fn hit_handled(hit: CachedResponse, shards: Option<usize>) -> Handled {
 }
 
 fn cache_key(endpoint: &str, scenario: &Scenario, shards: Option<usize>) -> String {
-    let mut key = format!("{endpoint} policy={}\n", scenario.policy_label());
+    let mut key = format!("{endpoint} policy={}\n", scenario.arbitration);
     if let Some(shards) = shards {
         key.push_str(&format!("shards={shards}\n"));
     }
@@ -1074,6 +1074,45 @@ mod tests {
         assert_ne!(base.body, fcfs.body);
         let text = String::from_utf8(fcfs.body).unwrap();
         assert!(text.contains("\"policy\":\"fcfs\""), "{text}");
+        // The override names a strategy, so the report says so too.
+        assert!(text.contains("\"strategy\":\"fcfs\""), "{text}");
+    }
+
+    #[test]
+    fn out_of_range_delay_strategy_is_a_policy_422() {
+        let svc = service();
+        let text = scenario_text();
+        assert!(text.contains("strategy = interfering\n"));
+        for bound in ["-5.0", "NaN", "inf"] {
+            let body = text.replace(
+                "strategy = interfering\n",
+                &format!("strategy = delay {bound}\n"),
+            );
+            let response = svc.handle(&post("/v1/run", "", body));
+            assert_eq!(response.status, 422, "delay {bound}");
+            let json = String::from_utf8(response.body).unwrap();
+            assert!(json.contains("\"kind\":\"policy\""), "{json}");
+        }
+    }
+
+    #[test]
+    fn non_finite_dynamic_gamma_is_a_config_422() {
+        let svc = service();
+        let text = scenario_text()
+            .replace("strategy = interfering", "strategy = calciom-dynamic")
+            .replace(
+                "consider_interference = false",
+                "consider_interference = true",
+            );
+        // The first `interference_gamma` key is the `[policy]` one.
+        assert!(text.find("[policy]") < text.find("interference_gamma"));
+        let body = text.replacen("interference_gamma = 0.85", "interference_gamma = NaN", 1);
+        let response = svc.handle(&post("/v1/run", "", body));
+        assert_eq!(response.status, 422);
+        let json = String::from_utf8(response.body).unwrap();
+        assert!(json.contains("\"kind\":\"config\""), "{json}");
+        assert!(json.contains("interference_gamma"), "{json}");
+        assert_eq!(svc.handle(&post("/v1/run", "", text)).status, 200);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::machine_mix::MachineMix;
 use calciom::cluster::{ClusterSpec, MachineSpec};
-use calciom::{PolicySpec, Scenario, Strategy};
+use calciom::{PolicySpec, Scenario};
 use mpiio::AppConfig;
 use pfs::AppId;
 use serde::{Deserialize, Serialize};
@@ -128,28 +128,19 @@ impl ClusterMix {
     }
 
     /// The hierarchical scenario: the mix's applications under an
-    /// arbiter tree ([`spec`](Self::spec)).
-    pub fn scenario_hierarchical(&self, strategy: Strategy) -> Scenario {
-        let mut scenario = self.base_scenario();
-        scenario.strategy = strategy;
+    /// arbiter tree ([`spec`](Self::spec)). The leaves run the policy
+    /// unchanged; the tree only adds the slot layer.
+    pub fn scenario_hierarchical(&self, policy: impl Into<PolicySpec>) -> Scenario {
+        let mut scenario = self.scenario_flat(policy);
         scenario.cluster = Some(self.spec());
         scenario
     }
 
     /// The flat baseline: the exact same applications and horizon, every
     /// application coordinating through one machine-wide arbiter.
-    pub fn scenario_flat(&self, strategy: Strategy) -> Scenario {
+    pub fn scenario_flat(&self, policy: impl Into<PolicySpec>) -> Scenario {
         let mut scenario = self.base_scenario();
-        scenario.strategy = strategy;
-        scenario
-    }
-
-    /// The hierarchical scenario under a *named* arbitration policy: the
-    /// leaves run the policy unchanged, the tree only adds the slot layer.
-    pub fn scenario_hierarchical_with_policy(&self, spec: PolicySpec) -> Scenario {
-        let mut scenario = self.base_scenario();
-        scenario.arbitration = Some(spec);
-        scenario.cluster = Some(self.spec());
+        scenario.arbitration = policy.into();
         scenario
     }
 
@@ -182,7 +173,7 @@ impl ClusterMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calciom::SharingModel;
+    use calciom::{SharingModel, Strategy};
 
     fn mix(machines: usize, n: usize, seed: u64) -> ClusterMix {
         ClusterMix {
@@ -273,10 +264,10 @@ mod tests {
     fn policy_scenarios_run_on_the_fast_medium() {
         let mut mix = mix(2, 3, 9);
         mix.template.medium = SharingModel::FairFast;
-        let scenario = mix.scenario_hierarchical_with_policy(PolicySpec::with_arg("delay", "30s"));
+        let scenario = mix.scenario_hierarchical(PolicySpec::with_arg("delay", "30s"));
         assert_eq!(scenario.medium, SharingModel::FairFast);
         let report = scenario.run().unwrap();
         assert_eq!(report.apps.len(), 6);
-        assert_eq!(report.policy_label, "delay(30s)");
+        assert_eq!(report.policy.to_text(), "delay(30s)");
     }
 }

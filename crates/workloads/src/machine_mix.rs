@@ -8,7 +8,7 @@
 //! applications with seeded-random sizes (the Fig. 1(a)
 //! [`SIZE_BUCKETS`] marginal), per-process
 //! write volumes, periodic phase structure, and start jitter, and packages
-//! them as a [`Scenario`] ready for any [`Strategy`].
+//! them as a [`Scenario`] ready for any arbitration policy.
 //!
 //! Generation is deterministic per seed, so a mix is a reproducible
 //! experiment input: the same configuration always yields the same
@@ -31,7 +31,7 @@
 
 use crate::synthetic::SIZE_BUCKETS;
 use crate::trace::{Job, JobTrace};
-use calciom::{PolicySpec, Scenario, SharingModel, Strategy};
+use calciom::{PolicySpec, Scenario, SharingModel};
 use mpiio::{AccessPattern, AppConfig};
 use pfs::{AppId, PfsConfig};
 use rand::Rng;
@@ -160,23 +160,15 @@ impl MachineMix {
     }
 
     /// Packages the mix as a runnable [`Scenario`] under the given
-    /// strategy. The horizon is sized from the analytic stand-alone
-    /// estimates so even a fully serialized N-application schedule fits.
-    pub fn scenario(&self, strategy: Strategy) -> Scenario {
+    /// arbitration policy: a [`Strategy`](calciom::Strategy) or any
+    /// registry [`PolicySpec`] (the `fig14_policies` experiment feeds
+    /// these). The applications and horizon depend only on the mix, so a
+    /// policy comparison varies nothing but the arbitration; the horizon
+    /// is sized from the analytic stand-alone estimates so even a fully
+    /// serialized N-application schedule fits.
+    pub fn scenario(&self, policy: impl Into<PolicySpec>) -> Scenario {
         let mut scenario = self.base_scenario();
-        scenario.strategy = strategy;
-        scenario
-    }
-
-    /// Packages the mix as a runnable [`Scenario`] under a *named*
-    /// arbitration policy ([`PolicySpec`]) — the machine-scale testbed
-    /// for schedules the [`Strategy`] enum cannot express (the
-    /// `fig14_policies` experiment feeds these). The applications and
-    /// horizon are identical to [`MachineMix::scenario`]'s, so a policy
-    /// comparison varies nothing but the arbitration.
-    pub fn scenario_with_policy(&self, spec: PolicySpec) -> Scenario {
-        let mut scenario = self.base_scenario();
-        scenario.arbitration = Some(spec);
+        scenario.arbitration = policy.into();
         scenario
     }
 
@@ -228,6 +220,7 @@ impl MachineMix {
 mod tests {
     use super::*;
     use crate::concurrency::ConcurrencyDistribution;
+    use calciom::Strategy;
     use pfs::PfsConfig;
 
     fn mix(apps: usize, seed: u64) -> MachineMix {
@@ -294,16 +287,16 @@ mod tests {
     fn policy_scenarios_share_the_applications_and_run() {
         let mix = mix(8, 5);
         let by_strategy = mix.scenario(Strategy::FcfsSerialize);
-        let by_policy = mix.scenario_with_policy(PolicySpec::with_arg("rr", "5s"));
+        let by_policy = mix.scenario(PolicySpec::with_arg("rr", "5s"));
         assert_eq!(
             by_strategy.apps, by_policy.apps,
             "only the arbitration may differ"
         );
         assert_eq!(by_strategy.horizon, by_policy.horizon);
-        assert_eq!(by_policy.policy_label(), "rr(5s)");
+        assert_eq!(by_policy.arbitration.to_text(), "rr(5s)");
         let report = by_policy.run().unwrap();
         assert_eq!(report.apps.len(), 8);
-        assert_eq!(report.policy_label, "rr(5s)");
+        assert_eq!(report.policy, by_policy.arbitration);
         assert!(report.apps.iter().all(|a| !a.phases.is_empty()));
     }
 

@@ -12,8 +12,8 @@
 
 use calciom::api::{CoordinationTransport, Coordinator, SharedTransport};
 use calciom::{
-    AccessOutcome, Arbiter, DynamicPolicy, EfficiencyMetric, Granularity, IoInfo, Strategy,
-    YieldOutcome,
+    AccessOutcome, Arbiter, DynamicPolicy, EfficiencyMetric, Granularity, IoInfo, PolicyRegistry,
+    Strategy, YieldOutcome,
 };
 use pfs::AppId;
 
@@ -33,13 +33,17 @@ fn info(app: AppId, procs: u32, total_secs: f64, remaining_secs: f64) -> IoInfo 
 }
 
 fn main() {
-    // The shared coordination state; the decision point minimizes the
+    // The shared coordination state: the paper's dynamic policy, resolved
+    // from its spec by the standard registry, minimizing the
     // CPU·seconds-wasted metric. SharedTransport is Send + Sync, so these
     // coordinators could live on different threads.
-    let transport = SharedTransport::new(Arbiter::new(
-        Strategy::Dynamic,
-        DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
-    ));
+    let policy = PolicyRegistry::standard()
+        .build(
+            &Strategy::Dynamic.spec(),
+            &DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
+        )
+        .expect("a standard policy");
+    let transport = SharedTransport::new(Arbiter::with_policy(policy));
     let mut app_a = Coordinator::new(AppId(0), transport.clone());
     let mut app_b = Coordinator::new(AppId(1), transport);
 

@@ -105,12 +105,14 @@ fn main() {
     println!();
     for name in ["fcfs", "srpf", "rr(2s)"] {
         let mut s = scenario.clone();
-        s.arbitration = Some(PolicySpec::from_text(name).unwrap());
+        s.arbitration = PolicySpec::from_text(name).unwrap();
         let report = s.run().unwrap();
         let small = report.app(AppId(2)).unwrap().first_phase().io_time();
         println!(
             "{:<8} small-job write time {:>6.2} s (makespan {})",
-            report.policy_label, small, report.makespan
+            report.policy.to_text(),
+            small,
+            report.makespan
         );
     }
 }

@@ -368,7 +368,7 @@ proptest! {
         };
         let registry = calciom::PolicyRegistry::standard();
         for spec in registry.canonical_specs() {
-            let scenario = mix.scenario_with_policy(spec.clone());
+            let scenario = mix.scenario(spec.clone());
             let report = scenario.run().unwrap_or_else(|e| {
                 panic!("{spec}: mix(napps={napps}, seed={seed}) failed: {e}")
             });
@@ -387,7 +387,7 @@ proptest! {
                 report.makespan.as_secs() <= scenario.horizon.as_secs(),
                 "{}: makespan beyond the horizon", spec.to_text()
             );
-            prop_assert_eq!(report.policy_label.clone(), spec.to_text());
+            prop_assert_eq!(&report.policy, &spec);
         }
     }
 
@@ -468,6 +468,39 @@ proptest! {
                 .unwrap_or_else(|e| panic!("{text}: {e}"));
             prop_assert_eq!(policy.spec().to_text(), text.clone());
             prop_assert_eq!(policy.label(), text);
+        }
+    }
+
+    /// `Strategy::from_spec` inverts `Strategy::spec` exactly, delay
+    /// bounds bit for bit: any finite non-negative `f64` (subnormals,
+    /// huge values and `-0.0` included) survives the `<secs>s` argument
+    /// codec.
+    #[test]
+    fn strategy_spec_inverse_is_exact(bits in any::<u64>()) {
+        // Clear the sign bit; map the non-finite exponent onto a finite one.
+        let mut secs = f64::from_bits(bits & !(1 << 63));
+        if !secs.is_finite() {
+            secs = f64::from_bits(secs.to_bits() & !(1 << 52));
+        }
+        prop_assert!(secs.is_finite() && secs >= 0.0);
+        let mut strategies = vec![
+            Strategy::Interfere,
+            Strategy::FcfsSerialize,
+            Strategy::Interrupt,
+            Strategy::Dynamic,
+        ];
+        for bound in [secs, -0.0, 0.0, f64::MIN_POSITIVE, f64::MAX] {
+            strategies.push(Strategy::Delay { max_wait_secs: bound });
+        }
+        for strategy in strategies {
+            let back = Strategy::from_spec(&strategy.spec());
+            match (strategy, back) {
+                (
+                    Strategy::Delay { max_wait_secs: sent },
+                    Some(Strategy::Delay { max_wait_secs: got }),
+                ) => prop_assert_eq!(sent.to_bits(), got.to_bits()),
+                _ => prop_assert_eq!(back, Some(strategy)),
+            }
         }
     }
 }

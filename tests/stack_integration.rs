@@ -6,7 +6,7 @@ use calciom::{
     AccessPattern, AppConfig, AppId, DynamicPolicy, EfficiencyMetric, Granularity, PfsConfig,
     Scenario, Session, Strategy,
 };
-use iobench::{compare_strategies, dt_range, run_delta_sweep, DeltaSweepConfig};
+use iobench::{compare_policies, dt_range, run_delta_sweep, DeltaSweepConfig};
 use std::collections::BTreeMap;
 
 const MB: f64 = 1.0e6;
@@ -21,18 +21,19 @@ fn headline_claim_small_application_rescued_by_interruption() {
     let big = AppConfig::new(AppId(0), "big", 744, pattern);
     let small = AppConfig::new(AppId(1), "small", 24, pattern).starting_at_secs(3.0);
 
-    let cmp = compare_strategies(
+    let (interfere, interrupt) = (Strategy::Interfere.spec(), Strategy::Interrupt.spec());
+    let cmp = compare_policies(
         &pfs,
         &[big, small],
-        &[Strategy::Interfere, Strategy::Interrupt],
+        &[interfere.clone(), interrupt.clone()],
         Granularity::Round,
         DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted),
     )
     .unwrap();
 
-    let small_interfering = cmp.factor(Strategy::Interfere, AppId(1)).unwrap();
-    let small_interrupt = cmp.factor(Strategy::Interrupt, AppId(1)).unwrap();
-    let big_interrupt = cmp.factor(Strategy::Interrupt, AppId(0)).unwrap();
+    let small_interfering = cmp.factor(&interfere, AppId(1)).unwrap();
+    let small_interrupt = cmp.factor(&interrupt, AppId(1)).unwrap();
+    let big_interrupt = cmp.factor(&interrupt, AppId(0)).unwrap();
 
     // Without coordination the small application suffers a large slowdown
     // (the paper reports up to 14×; the exact value depends on the platform
