@@ -81,8 +81,16 @@ impl CollectiveConfig {
 
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        // NaN fails every comparison, so finiteness is checked first: a
+        // NaN or infinite buffer would silently drop the app's writes.
+        if !self.buffer_bytes.is_finite() {
+            return Err(ConfigError::NonFiniteBufferBytes);
+        }
         if self.buffer_bytes <= 0.0 {
             return Err(ConfigError::NonPositiveBufferBytes);
+        }
+        if !self.shuffle_bw.is_finite() {
+            return Err(ConfigError::NonFiniteShuffleBw);
         }
         if self.shuffle_bw <= 0.0 {
             return Err(ConfigError::NonPositiveShuffleBw);
@@ -169,5 +177,21 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn non_finite_sizes_and_bandwidths_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let buffer = CollectiveConfig {
+                buffer_bytes: bad,
+                ..Default::default()
+            };
+            assert_eq!(buffer.validate(), Err(ConfigError::NonFiniteBufferBytes));
+            let shuffle = CollectiveConfig {
+                shuffle_bw: bad,
+                ..Default::default()
+            };
+            assert_eq!(shuffle.validate(), Err(ConfigError::NonFiniteShuffleBw));
+        }
     }
 }

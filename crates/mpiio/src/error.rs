@@ -30,8 +30,12 @@ pub enum ConfigError {
     ZeroBlockCount,
     /// The collective buffer size was not positive.
     NonPositiveBufferBytes,
+    /// The collective buffer size was NaN or infinite.
+    NonFiniteBufferBytes,
     /// The collective shuffle bandwidth was not positive.
     NonPositiveShuffleBw,
+    /// The collective shuffle bandwidth was NaN or infinite.
+    NonFiniteShuffleBw,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -49,9 +53,13 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveBufferBytes => {
                 write!(f, "collective buffer_bytes must be positive")
             }
+            ConfigError::NonFiniteBufferBytes => {
+                write!(f, "collective buffer_bytes must be finite")
+            }
             ConfigError::NonPositiveShuffleBw => {
                 write!(f, "collective shuffle_bw must be positive")
             }
+            ConfigError::NonFiniteShuffleBw => write!(f, "collective shuffle_bw must be finite"),
         }
     }
 }

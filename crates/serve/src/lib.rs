@@ -35,9 +35,9 @@
 //! idle timeout between requests, a slow-loris (header) timeout inside
 //! them, and a requests-per-connection cap. Machine-scale `/v1/batch`
 //! responses stream `Transfer-Encoding: chunked` output as shard
-//! results complete (`?stream=1/0` overrides). Two front ends serve the
-//! same surface: an epoll reactor ([`reactor`], Linux, the default) and
-//! a portable blocking thread pool (`CALCIOM_REACTOR=threads`).
+//! results complete (`?stream=1/0` overrides). One front end serves
+//! them: an epoll reactor ([`reactor`]), which parks slow clients
+//! without tying up a simulation worker. It makes the server Linux-only.
 //!
 //! Everything is built on `std` only (TCP listener, bounded
 //! worker-thread pool, hand-rolled HTTP/1.1 subset, raw `epoll` FFI) —
@@ -58,8 +58,8 @@ pub mod service;
 
 pub use cache::{CachedResponse, ResponseCache};
 pub use client::{Conn, HttpReply};
-pub use config::{ReactorMode, ServeConfig, ServeConfigError};
+pub use config::{ServeConfig, ServeConfigError};
 pub use http::{HttpError, ParsedRequest, Request, RequestParser, Response};
 pub use log::{BufferLog, CacheOutcome, RequestLog, RequestRecord, StderrLog};
-pub use server::{start, ServerHandle, ShutdownSignal};
+pub use server::{start, ReactorMode, ServerHandle, ShutdownSignal};
 pub use service::{CollectSink, ResponsePart, ResponseSink, Service};

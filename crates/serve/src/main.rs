@@ -21,7 +21,7 @@ fn main() {
     let handle = match serve::start(config, Box::new(StderrLog)) {
         Ok(handle) => handle,
         Err(e) => {
-            eprintln!("calciom-serve: failed to bind: {e}");
+            eprintln!("calciom-serve: failed to start: {e}");
             std::process::exit(1);
         }
     };

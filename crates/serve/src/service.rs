@@ -7,8 +7,7 @@
 //! body as shard results complete. Keeping the core free of sockets
 //! means the whole endpoint surface (routing, validation, error mapping,
 //! caching, ETags, streaming decisions) is unit-testable without binding
-//! a port; the transports in [`crate::server`] and [`crate::reactor`]
-//! are pumps around it.
+//! a port; the epoll reactor ([`crate::reactor`]) is a pump around it.
 //!
 //! ## Statelessness and determinism
 //!
@@ -57,7 +56,7 @@ const ROUTES: &[(&str, &str)] = &[
 ///
 /// The service emits either a single [`ResponsePart::Full`], or a
 /// streamed sequence `StreamHead (StreamChunk)* (StreamEnd |
-/// StreamAbort)`. Transports own the framing: `Full` is written with
+/// StreamAbort)`. The transport owns the framing: `Full` is written with
 /// `Content-Length`, a stream with `Transfer-Encoding: chunked`
 /// ([`Response::serialize_chunked_head`] /
 /// [`crate::http::chunk_frame`] / [`crate::http::CHUNK_END`]).
@@ -81,8 +80,8 @@ pub enum ResponsePart {
 }
 
 /// Where [`Service::handle_into`] pushes response parts. Implemented by
-/// the transports (socket writers, the reactor's completion queue) and
-/// by [`CollectSink`] for tests and the materialized [`Service::handle`].
+/// the reactor's completion queue and by [`CollectSink`] for tests and
+/// the materialized [`Service::handle`].
 pub trait ResponseSink {
     /// Receives the next part, in order.
     fn part(&mut self, part: ResponsePart);
@@ -230,20 +229,14 @@ impl Service {
     /// reassembled into a single [`Response`]. Logs with no connection
     /// id — the unit-test and direct-call entry point.
     pub fn handle(&self, request: &Request) -> Response {
-        self.handle_ctx(None, request)
-    }
-
-    /// [`Service::handle`] with the transport's connection id for the
-    /// request log.
-    pub fn handle_ctx(&self, conn: Option<u64>, request: &Request) -> Response {
         let mut sink = CollectSink::new();
-        self.handle_into(conn, request, &mut sink);
+        self.handle_into(None, request, &mut sink);
         sink.into_response()
     }
 
     /// Handles one parsed request, pushing response parts into `sink`
-    /// as they become available, and logs it. This is the transports'
-    /// entry point — a `/v1/batch` past the streaming threshold emits
+    /// as they become available, and logs it. This is the reactor
+    /// workers' entry point — a `/v1/batch` past the streaming threshold emits
     /// chunks while later shards are still simulating.
     pub fn handle_into(&self, conn: Option<u64>, request: &Request, sink: &mut dyn ResponseSink) {
         let started = Instant::now();
@@ -359,7 +352,7 @@ impl Service {
     }
 
     /// Builds and logs the response for a request that could not even be
-    /// parsed off the wire (the transports call this on
+    /// parsed off the wire (the reactor calls this on
     /// [`crate::http::HttpError`]). Such a response always closes the
     /// connection — the byte stream can no longer be framed.
     pub fn handle_unparsable(&self, conn: Option<u64>, status: u16, message: &str) -> Response {
@@ -1145,6 +1138,81 @@ mod tests {
         assert_eq!(svc.handle(&post("/v1/run", "", text)).status, 200);
     }
 
+    /// Sets `key` to `value` in every `[section]` block of a scenario
+    /// document (every `[app]` block for `app`).
+    fn set_key(text: &str, section: &str, key: &str, value: &str) -> String {
+        let header = format!("[{section}]");
+        let prefix = format!("{key} = ");
+        let mut in_section = false;
+        let mut replaced = 0;
+        let mut out = String::with_capacity(text.len());
+        for line in text.lines() {
+            if line.starts_with('[') {
+                in_section = line == header;
+            }
+            if in_section && line.starts_with(&prefix) {
+                out.push_str(&format!("{prefix}{value}\n"));
+                replaced += 1;
+            } else {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        assert!(replaced > 0, "no `{key}` in [{section}]");
+        out
+    }
+
+    #[test]
+    fn nan_in_any_float_key_is_a_4xx() {
+        let svc = service();
+        let text = scenario_text();
+        for (section, key, value) in [
+            ("pfs", "server_bw", "NaN"),
+            ("pfs", "process_link_bw", "NaN"),
+            ("pfs", "interconnect_bw", "NaN"),
+            ("pfs", "interference_gamma", "NaN"),
+            ("pfs", "cache", "NaN 1000000000.0 500000000.0"),
+            ("policy", "interference_gamma", "NaN"),
+            ("app", "buffer_bytes", "NaN"),
+            ("app", "shuffle_bw", "NaN"),
+        ] {
+            let body = set_key(&text, section, key, value);
+            let response = svc.handle(&post("/v1/run", "", body));
+            assert!(
+                (400..500).contains(&response.status),
+                "[{section}] {key} = {value}: status {}",
+                response.status
+            );
+        }
+        assert_eq!(svc.handle(&post("/v1/run", "", text)).status, 200);
+    }
+
+    #[test]
+    fn non_finite_collective_buffering_is_a_config_422() {
+        let svc = service();
+        // Strided patterns go through collective buffering, so the
+        // buffer size and shuffle bandwidth are both on the data path.
+        let text = set_key(
+            &set_key(&scenario_text(), "app", "pattern", "strided 65536.0 80"),
+            "app",
+            "aggregators",
+            "4",
+        );
+        for (key, value) in [
+            ("buffer_bytes", "inf"),
+            ("buffer_bytes", "NaN"),
+            ("shuffle_bw", "NaN"),
+            ("shuffle_bw", "inf"),
+        ] {
+            let response = svc.handle(&post("/v1/run", "", set_key(&text, "app", key, value)));
+            assert_eq!(response.status, 422, "{key} = {value}");
+            let json = String::from_utf8(response.body).unwrap();
+            assert!(json.contains("\"kind\":\"config\""), "{json}");
+            assert!(json.contains(key), "{json}");
+        }
+        assert_eq!(svc.handle(&post("/v1/run", "", text)).status, 200);
+    }
+
     #[test]
     fn unknown_policy_is_a_422() {
         let svc = service();
@@ -1319,7 +1387,11 @@ mod tests {
             }
         }
         let svc = Service::new(ServeConfig::default(), Box::new(Fwd(log.clone())));
-        svc.handle_ctx(Some(3), &post("/v1/run", "", scenario_text()));
+        svc.handle_into(
+            Some(3),
+            &post("/v1/run", "", scenario_text()),
+            &mut CollectSink::new(),
+        );
         let records = log.records();
         assert_eq!(records.len(), 1);
         let line = records[0].line();

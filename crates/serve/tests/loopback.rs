@@ -4,7 +4,9 @@
 //! The headline property under test is statelessness-as-determinism:
 //! the same scenario POSTed from many concurrent clients must come back
 //! **byte-identical**, and a `/v1/trace` response must decode and
-//! replay bit-for-bit into the `/v1/run` report.
+//! replay bit-for-bit into the `/v1/run` report. The server runs on
+//! Linux only.
+#![cfg(target_os = "linux")]
 
 use calciom::{AccessPattern, AppConfig, AppId, PfsConfig, Scenario, Trace};
 use serve::client;

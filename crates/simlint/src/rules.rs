@@ -10,6 +10,7 @@
 //! | R5 | raw-float-accumulation | simcore | no bare `+=`/`-=` on `remaining`/`residual` fields without an allow |
 //! | R6 | event-variant-coverage | workspace | every `SimEvent` variant appears in the report fold and the trace codec |
 //! | R7 | unseeded-rng | all crates (incl. tests) | no `thread_rng`/`from_entropy`/`OsRng`/`rand::random` |
+//! | R8 | nan-passing-check | all crates, non-test | a `fn validate*` that rejects `x < 0.0`/`x <= 0.0` also checks `x.is_finite()`/`x.is_nan()` |
 //!
 //! Scopes are crate-directory names, configured by [`ScopeConfig`]
 //! (single source of truth, documented in DESIGN.md). R2 is an
@@ -33,7 +34,7 @@ pub struct RuleInfo {
 }
 
 /// Every rule simlint implements, in id order.
-pub const RULES: [RuleInfo; 7] = [
+pub const RULES: [RuleInfo; 8] = [
     RuleInfo {
         id: "R1",
         name: "nondeterministic-collections",
@@ -69,6 +70,11 @@ pub const RULES: [RuleInfo; 7] = [
         id: "R7",
         name: "unseeded-rng",
         summary: "no thread_rng/from_entropy/OsRng/rand::random: randomness must be seeded",
+    },
+    RuleInfo {
+        id: "R8",
+        name: "nan-passing-check",
+        summary: "a validate* bound like `x <= 0.0` that returns Err must also check x.is_finite()",
     },
 ];
 
@@ -193,6 +199,7 @@ pub fn scan_file(input: &FileInput, scope: &ScopeConfig) -> Vec<Finding> {
         r5_raw_float_accumulation(input, &mut out);
     }
     r7_unseeded_rng(input, &mut out);
+    r8_nan_passing_check(input, &mut out);
     out
 }
 
@@ -417,6 +424,183 @@ fn r7_unseeded_rng(input: &FileInput, out: &mut Vec<Finding>) {
             ));
         }
     }
+}
+
+/// R8: inside a non-test `fn validate*`, an `if` whose condition
+/// compares a path with `<`/`<=` against a float literal and whose
+/// branch returns `Err` — when the function never asks that path
+/// `is_finite()`/`is_nan()`. Every comparison with NaN is false, so
+/// such a check waves NaN (and, against a lower bound, +∞) through.
+fn r8_nan_passing_check(input: &FileInput, out: &mut Vec<Finding>) {
+    let toks = &input.lexed.tokens;
+    let mut i = 0usize;
+    while i + 1 < toks.len() {
+        let name = &toks[i + 1];
+        let is_validate = toks[i].is_ident("fn")
+            && name.kind == TokKind::Ident
+            && name.text.starts_with("validate")
+            && !input.lexed.is_test_line(name.line);
+        let body = if is_validate {
+            fn_body(toks, i + 2)
+        } else {
+            None
+        };
+        let Some((open, close)) = body else {
+            i += 1;
+            continue;
+        };
+        for (path, line) in nan_passing_bounds(&toks[open..=close]) {
+            let shown = path.join(".");
+            out.push(finding(
+                &RULES[7],
+                input,
+                line,
+                format!(
+                    "`{shown}` is bounded with `<`/`<=` in `fn {}`, which NaN passes; \
+                     reject `!{shown}.is_finite()` first",
+                    name.text
+                ),
+            ));
+        }
+        i = close + 1;
+    }
+}
+
+/// The `{ … }` token range of the function whose signature starts at
+/// `from`, or `None` for a bodiless declaration.
+fn fn_body(toks: &[Tok], from: usize) -> Option<(usize, usize)> {
+    let mut depth = 0i32;
+    let mut k = from;
+    while k < toks.len() {
+        let t = &toks[k];
+        if t.is_punct("(") || t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct(")") || t.is_punct("]") {
+            depth -= 1;
+        } else if depth == 0 && t.is_punct(";") {
+            return None;
+        } else if depth == 0 && t.is_punct("{") {
+            return Some((k, matching_brace(toks, k)?));
+        }
+        k += 1;
+    }
+    None
+}
+
+/// Index of the `}` closing the `{` at `open`.
+fn matching_brace(toks: &[Tok], open: usize) -> Option<usize> {
+    let mut depth = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct("{") {
+            depth += 1;
+        } else if t.is_punct("}") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
+/// `(path, line)` for every `if <path> <[=] <float> { … Err … }` in a
+/// function body whose path is never asked `is_finite()`/`is_nan()`.
+/// Bounds inside a negated group, `if !(x > 0.0 && x <= 1.0)`, already
+/// reject NaN and are not reported.
+fn nan_passing_bounds(body: &[Tok]) -> Vec<(Vec<&str>, u32)> {
+    let mut out: Vec<(Vec<&str>, u32)> = Vec::new();
+    for (k, t) in body.iter().enumerate() {
+        if !t.is_ident("if") {
+            continue;
+        }
+        let Some(open) = (k + 1..body.len()).find(|&j| body[j].is_punct("{")) else {
+            continue;
+        };
+        let Some(close) = matching_brace(body, open) else {
+            continue;
+        };
+        if !body[open..close].iter().any(|t| t.is_ident("Err")) {
+            continue;
+        }
+        // One entry per open `(`: whether it is negated (`!(…)`). A
+        // bound inside a negated group rejects NaN — `!(x > 0.0)` is true
+        // for NaN — so only un-negated bounds count.
+        let mut groups: Vec<bool> = Vec::new();
+        for c in k + 1..open {
+            if body[c].is_punct("(") {
+                groups.push(body[c - 1].is_punct("!"));
+            } else if body[c].is_punct(")") {
+                groups.pop();
+            }
+            if !body[c].is_punct("<")
+                || groups.contains(&true)
+                || !compares_with_float(&body[c + 1..open])
+            {
+                continue;
+            }
+            let path = path_ending_at(body, c);
+            if !path.is_empty()
+                && !has_finiteness_check(body, &path)
+                && !out.iter().any(|(p, _)| *p == path)
+            {
+                out.push((path, body[c].line));
+            }
+        }
+    }
+    out
+}
+
+/// True when `rest` (the tokens after a `<`) is `[=] [-] <float literal>`.
+fn compares_with_float(rest: &[Tok]) -> bool {
+    let mut rest = rest;
+    for skip in ["=", "-"] {
+        if rest.first().is_some_and(|t| t.is_punct(skip)) {
+            rest = &rest[1..];
+        }
+    }
+    rest.first()
+        .is_some_and(|t| t.kind == TokKind::Literal && is_float_literal(&t.text))
+}
+
+fn is_float_literal(text: &str) -> bool {
+    let radix = ["0x", "0o", "0b"].iter().any(|p| text.starts_with(p));
+    text.starts_with(|c: char| c.is_ascii_digit())
+        && !radix
+        && (text.contains(['.', 'e', 'E']) || text.ends_with("f64") || text.ends_with("f32"))
+}
+
+/// The dotted identifier path (`self.buffer_bytes`) that ends just
+/// before index `end`; empty when the operand is not a plain path
+/// (a call, an index, a field of a call, the type of an `as` cast).
+fn path_ending_at(toks: &[Tok], end: usize) -> Vec<&str> {
+    let mut start = end;
+    while start > 0 && toks[start - 1].kind == TokKind::Ident {
+        start -= 1;
+        if start >= 2 && toks[start - 1].is_punct(".") && toks[start - 2].kind == TokKind::Ident {
+            start -= 1;
+        } else {
+            break;
+        }
+    }
+    let qualified = start > 0 && (toks[start - 1].is_punct(".") || toks[start - 1].is_ident("as"));
+    if start == end || qualified {
+        return Vec::new();
+    }
+    toks[start..end]
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str())
+        .collect()
+}
+
+/// True when `path.is_finite` or `path.is_nan` appears in `toks`.
+fn has_finiteness_check(toks: &[Tok], path: &[&str]) -> bool {
+    let n = path.len() * 2 + 1;
+    toks.windows(n).any(|w| {
+        w.iter().step_by(2).zip(path).all(|(t, p)| t.is_ident(p))
+            && w.iter().skip(1).step_by(2).all(|t| t.is_punct("."))
+            && (w[n - 1].is_ident("is_finite") || w[n - 1].is_ident("is_nan"))
+    })
 }
 
 /// Configuration of the workspace-level R6 check.

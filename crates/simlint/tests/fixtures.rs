@@ -115,6 +115,11 @@ fn r7_fixture_fires_on_marked_lines() {
 }
 
 #[test]
+fn r8_fixture_fires_on_marked_lines() {
+    assert_fires_exactly("r8_nan_check.rs", "mpiio");
+}
+
+#[test]
 fn r6_fixture_reports_the_uncovered_variant() {
     // R6 is workspace-level: feed the definition/codec pair through the
     // coverage check directly.
