@@ -18,6 +18,7 @@ use crate::arbitration::{PolicyRegistry, PolicySpec};
 use crate::cluster::ClusterSpec;
 use crate::error::{ConfigError, Error, ScenarioParseError};
 use crate::metrics::EfficiencyMetric;
+use crate::observe::{NullObserver, SimObserver};
 use crate::policy::DynamicPolicy;
 use crate::session::{Session, SessionReport};
 use crate::strategy::Strategy;
@@ -145,25 +146,17 @@ impl Scenario {
     /// [`ClusterTransport`](crate::ClusterTransport) (flat transports
     /// reject cluster topologies rather than silently ignoring them).
     pub fn run(&self) -> Result<SessionReport, Error> {
-        if self.cluster.is_some() {
-            Session::<crate::ClusterTransport>::with_transport(self)?.execute()
-        } else {
-            Session::run(self)
-        }
+        self.run_with(&mut NullObserver)
     }
 
-    /// Runs the scenario on the thread-safe
-    /// [`SharedTransport`](crate::SharedTransport) (or the equally
-    /// thread-safe [`ClusterTransport`](crate::ClusterTransport) when a
-    /// cluster topology is present). The simulation is deterministic, so
-    /// the report is identical to [`Scenario::run`]'s; this entry point
-    /// exists so that whole sessions can be built once and executed on
-    /// worker threads (see `iobench::parallel`).
-    pub fn run_shared(&self) -> Result<SessionReport, Error> {
+    /// [`Scenario::run`] with observation: the session is built on the
+    /// transport the scenario's topology calls for and streams every
+    /// [`SimEvent`](crate::SimEvent) to `observer`.
+    pub fn run_with<O: SimObserver>(&self, observer: &mut O) -> Result<SessionReport, Error> {
         if self.cluster.is_some() {
-            Session::<crate::ClusterTransport>::with_transport(self)?.execute()
+            Session::<crate::ClusterTransport>::with_transport(self)?.execute_with(observer)
         } else {
-            Session::<crate::SharedTransport>::with_transport(self)?.execute()
+            Session::new(self)?.execute_with(observer)
         }
     }
 

@@ -1317,7 +1317,9 @@ mod tests {
             .build()
             .unwrap();
         let local = scenario.run().unwrap();
-        let shared = scenario.run_shared().unwrap();
+        let shared = Session::<SharedTransport>::with_transport(&scenario)
+            .and_then(Session::execute)
+            .unwrap();
         assert_eq!(local, shared);
         // And a Session<SharedTransport> built here survives being moved
         // to another thread before executing.

@@ -9,8 +9,9 @@
 //! 336-core one) even though the "fair" file system treats every request
 //! stream equally.
 
-use crate::parallel::parallel_map;
-use calciom::{Error, Scenario, Session};
+use crate::baseline::BaselineCache;
+use crate::parallel::{run_scenarios_sharded, ShardedRun};
+use calciom::{Error, Scenario};
 use mpiio::AppConfig;
 use pfs::{AppId, PfsConfig};
 use serde::{Deserialize, Serialize};
@@ -49,57 +50,62 @@ pub struct SizeSweepPoint {
     pub b_slowdown: f64,
 }
 
-/// Runs the size sweep.
+/// Runs the size sweep: one two-application scenario per B size, fanned
+/// out through [`run_scenarios_sharded`]. The stand-alone baselines come
+/// from the process-wide [`BaselineCache`], so A's is simulated once for
+/// the whole sweep, not once per B size.
 pub fn run_size_sweep(cfg: &SizeSweepConfig) -> Result<Vec<SizeSweepPoint>, Error> {
-    let runs: Vec<Result<SizeSweepPoint, Error>> =
-        parallel_map(cfg.b_sizes.clone(), cfg.threads, |&procs| {
-            run_point(cfg, procs)
-        });
-    runs.into_iter().collect()
+    let scenarios = cfg
+        .b_sizes
+        .iter()
+        .map(|&procs| {
+            let mut app_a = cfg.app_a.clone();
+            let mut app_b = cfg.app_b.clone();
+            app_a.start = SimTime::ZERO;
+            app_b.start = SimTime::ZERO;
+            app_b.procs = procs;
+            Ok(Scenario::builder(cfg.pfs.clone())
+                .apps([app_a, app_b])
+                .build()?)
+        })
+        .collect::<Result<Vec<_>, Error>>()?;
+    let runs = run_scenarios_sharded(&scenarios, cfg.threads, BaselineCache::global())?;
+    Ok(scenarios
+        .iter()
+        .zip(&runs)
+        .map(|(scenario, run)| size_point(&scenario.apps[0], &scenario.apps[1], run))
+        .collect())
 }
 
-fn run_point(cfg: &SizeSweepConfig, b_procs: u32) -> Result<SizeSweepPoint, Error> {
-    let mut app_a = cfg.app_a.clone();
-    let mut app_b = cfg.app_b.clone();
-    app_a.start = SimTime::ZERO;
-    app_b.start = SimTime::ZERO;
-    app_b.procs = b_procs;
-
-    let throughput_alone = |app: &AppConfig| -> Result<f64, Error> {
-        let t = Session::run_alone(app.clone(), cfg.pfs.clone())?;
-        Ok(if t > 0.0 {
-            app.bytes_per_phase() / t
-        } else {
-            0.0
-        })
+fn size_point(app_a: &AppConfig, app_b: &AppConfig, run: &ShardedRun) -> SizeSweepPoint {
+    // Throughput alone: the phase's bytes over its stand-alone I/O time.
+    let alone = |app: &AppConfig| -> f64 {
+        match run.alone.get(&app.id) {
+            Some(&t) if t > 0.0 => app.bytes_per_phase() / t,
+            _ => 0.0,
+        }
     };
-    let a_alone_throughput = throughput_alone(&app_a)?;
-    let b_alone_throughput = throughput_alone(&app_b)?;
-
-    let report = Scenario::builder(cfg.pfs.clone())
-        .apps([app_a.clone(), app_b.clone()])
-        .build()?
-        .run()?;
     let throughput = |id: AppId| -> f64 {
-        report
+        run.report
             .app(id)
             .map(|a| a.first_phase().throughput())
             .unwrap_or(0.0)
     };
     let a_throughput = throughput(app_a.id);
     let b_throughput = throughput(app_b.id);
-    Ok(SizeSweepPoint {
-        b_procs,
+    let b_alone_throughput = alone(app_b);
+    SizeSweepPoint {
+        b_procs: app_b.procs,
         a_throughput,
         b_throughput,
-        a_alone_throughput,
+        a_alone_throughput: alone(app_a),
         b_alone_throughput,
         b_slowdown: if b_throughput > 0.0 {
             b_alone_throughput / b_throughput
         } else {
             f64::INFINITY
         },
-    })
+    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! the *same* `(AppConfig, PfsConfig)` pair at every point (and figures ask
 //! again for every strategy). A [`BaselineCache`] memoizes
 //! [`Session::run_alone`] results so each distinct pair is simulated once
-//! per process; `delta` and `compare` go through the process-wide
-//! [`BaselineCache::global`].
+//! per process; `delta`, `compare` and `aggregate` go through the
+//! process-wide [`BaselineCache::global`].
 //!
 //! The cache key is the exact text encoding of the single-application
 //! scenario `run_alone` executes (start time zeroed, default strategy), so
@@ -198,12 +198,6 @@ impl BaselineCache {
             .map(|s| s.to_text())
             .unwrap_or(text)
     }
-}
-
-/// Convenience wrapper over [`BaselineCache::global`], used by the sweep
-/// modules.
-pub fn alone_time_cached(app: &AppConfig, pfs: &PfsConfig) -> Result<f64, Error> {
-    BaselineCache::global().alone_time(app, pfs)
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! measures the stand-alone baselines, and exposes the per-application
 //! interference factors and machine-wide metrics for each policy.
 
-use crate::baseline::alone_time_cached;
-use crate::parallel::run_scenarios;
+use crate::baseline::BaselineCache;
+use crate::parallel::run_scenarios_sharded;
 use calciom::{
     AppObservation, DynamicPolicy, EfficiencyMetric, Error, Granularity, PolicySpec, Scenario,
     SessionReport,
@@ -16,17 +16,6 @@ use calciom::{
 use mpiio::AppConfig;
 use pfs::{AppId, PfsConfig};
 use std::collections::BTreeMap;
-
-/// Measures each application's stand-alone I/O time on the given file
-/// system, answering repeated requests from the process-wide
-/// [`BaselineCache`](crate::BaselineCache).
-pub fn alone_times(pfs: &PfsConfig, apps: &[AppConfig]) -> Result<BTreeMap<AppId, f64>, Error> {
-    let mut alone = BTreeMap::new();
-    for app in apps {
-        alone.insert(app.id, alone_time_cached(app, pfs)?);
-    }
-    Ok(alone)
-}
 
 /// Result of running one scenario under one named arbitration policy.
 #[derive(Debug, Clone)]
@@ -90,9 +79,10 @@ impl PolicyComparison {
     }
 }
 
-/// Runs the scenario once per policy spec — concurrently, one
-/// `Session<SharedTransport>` per worker thread — and collects the
-/// comparison. Every spec is resolved through the standard
+/// Runs the scenario once per policy spec — concurrently, through
+/// [`run_scenarios_sharded`] — and collects the comparison. The
+/// stand-alone baselines come from the process-wide [`BaselineCache`].
+/// Every spec is resolved through the standard
 /// [`calciom::PolicyRegistry`]; an unknown name or bad argument surfaces
 /// as a typed configuration error before any simulation starts.
 pub fn compare_policies(
@@ -102,7 +92,10 @@ pub fn compare_policies(
     granularity: Granularity,
     policy: DynamicPolicy,
 ) -> Result<PolicyComparison, Error> {
-    let alone = alone_times(pfs, apps)?;
+    let mut alone = BTreeMap::new();
+    for app in apps {
+        alone.insert(app.id, BaselineCache::global().alone_time(app, pfs)?);
+    }
     let scenarios = specs
         .iter()
         .map(|spec| {
@@ -114,12 +107,12 @@ pub fn compare_policies(
                 .build()?)
         })
         .collect::<Result<Vec<Scenario>, Error>>()?;
-    let runs = specs
-        .iter()
-        .zip(run_scenarios(&scenarios, 0)?)
-        .map(|(spec, report)| PolicyRun {
+    let runs = run_scenarios_sharded(&scenarios, 0, BaselineCache::global())?
+        .into_iter()
+        .zip(specs)
+        .map(|(run, spec)| PolicyRun {
             spec: spec.clone(),
-            report,
+            report: run.report,
         })
         .collect();
     Ok(PolicyComparison { alone, runs })
@@ -269,7 +262,10 @@ mod tests {
     #[test]
     fn alone_times_are_positive_and_size_dependent() {
         let (pfs, apps) = scenario();
-        let alone = alone_times(&pfs, &apps).unwrap();
+        let policy = DynamicPolicy::new(EfficiencyMetric::CpuSecondsWasted);
+        let alone = compare_policies(&pfs, &apps, &[], Granularity::Round, policy)
+            .unwrap()
+            .alone;
         // The small application writes less data but is client-limited: its
         // stand-alone time is longer per byte; both must be positive.
         assert!(alone[&AppId(0)] > 0.0);

@@ -7,9 +7,9 @@
 //! (A, B) is then the mirror of (B, A). A sweep runs one simulation per dt
 //! value (in parallel) plus the two stand-alone baselines.
 
-use crate::baseline::alone_time_cached;
+use crate::baseline::BaselineCache;
 use crate::expected::expected_times;
-use crate::parallel::run_scenarios;
+use crate::parallel::run_scenarios_sharded;
 use calciom::{
     cpu_seconds_wasted_per_core, AppObservation, DynamicPolicy, EfficiencyMetric, Error,
     Granularity, Scenario, SessionError, SessionReport, Strategy,
@@ -146,28 +146,28 @@ pub fn dt_range(lo: f64, hi: f64, step: f64) -> Vec<f64> {
 
 /// Runs a Δ-graph sweep: one simulation per dt plus the two stand-alone
 /// baselines. The per-dt sessions are fanned out across worker threads
-/// over the shared transport (see [`run_scenarios`]); the simulation is
-/// deterministic, so the result is identical to a sequential sweep. The
-/// baselines come from the process-wide
-/// [`BaselineCache`](crate::BaselineCache), so repeated sweeps over the
-/// same application pair (one per strategy, typically) simulate each
-/// baseline only once.
+/// (see [`run_scenarios_sharded`]); the simulation is deterministic, so
+/// the result is identical to a sequential sweep. The baselines come from
+/// the process-wide [`BaselineCache`], so repeated sweeps over the same
+/// application pair (one per strategy, typically) simulate each baseline
+/// only once.
 pub fn run_delta_sweep(cfg: &DeltaSweepConfig) -> Result<DeltaSweepResult, Error> {
-    let a_alone = alone_time_cached(&cfg.app_a, &cfg.pfs)?;
-    let b_alone = alone_time_cached(&cfg.app_b, &cfg.pfs)?;
+    let cache = BaselineCache::global();
+    let a_alone = cache.alone_time(&cfg.app_a, &cfg.pfs)?;
+    let b_alone = cache.alone_time(&cfg.app_b, &cfg.pfs)?;
 
     let scenarios = cfg
         .dts
         .iter()
         .map(|&dt| scenario_at(cfg, dt))
         .collect::<Result<Vec<_>, Error>>()?;
-    let reports = run_scenarios(&scenarios, cfg.threads)?;
+    let runs = run_scenarios_sharded(&scenarios, cfg.threads, cache)?;
 
     let points = cfg
         .dts
         .iter()
-        .zip(&reports)
-        .map(|(&dt, report)| delta_point(cfg, dt, a_alone, b_alone, report))
+        .zip(&runs)
+        .map(|(&dt, run)| delta_point(cfg, dt, a_alone, b_alone, &run.report))
         .collect::<Result<Vec<_>, Error>>()?;
     Ok(DeltaSweepResult {
         strategy: cfg.strategy,

@@ -22,13 +22,13 @@
 //!   as "Expected" in the paper's Δ-graphs.
 //! * [`series`] — result series and plain-text tables used by the bench
 //!   binaries to print exactly the rows/curves each figure shows.
-//! * [`parallel`] — scoped-thread parallel maps plus [`run_scenarios`] /
-//!   [`run_scenarios_traced`], which fan fully-built
-//!   `Session<SharedTransport>` values out across worker threads
-//!   (deterministic: same reports — and same recorded traces — as a
-//!   sequential run), and [`run_scenarios_sharded`], the machine-scale
-//!   variant that batches scenarios into shards and resolves `T_alone`
-//!   baselines through a shared [`BaselineCache`] as it goes.
+//! * [`parallel`] — [`run_scenarios_sharded_streamed`], the one scenario
+//!   runner every sweep goes through: it fans fully-built sessions out
+//!   over worker threads in contiguous shards, resolves `T_alone`
+//!   baselines through a [`BaselineCache`] as it goes, and delivers
+//!   results in input order as they complete (deterministic: the same
+//!   reports as a sequential run). [`run_scenarios_sharded`] collects
+//!   them; [`parallel_map_owned`] is the same fan-out over any work list.
 //!
 //! Every fallible entry point returns [`calciom::Error`] — the typed error
 //! surface shared by the whole stack.
@@ -59,13 +59,12 @@ pub mod periodic;
 pub mod series;
 
 pub use aggregate::{run_size_sweep, SizeSweepConfig, SizeSweepPoint};
-pub use baseline::{alone_time_cached, BaselineCache};
-pub use compare::{alone_times, compare_policies, PolicyComparison, PolicyRun};
+pub use baseline::BaselineCache;
+pub use compare::{compare_policies, PolicyComparison, PolicyRun};
 pub use delta::{dt_range, run_delta_sweep, DeltaPoint, DeltaSweepConfig, DeltaSweepResult};
 pub use expected::{expected_factors, expected_times, ExpectedTimes};
 pub use parallel::{
-    parallel_map, parallel_map_owned, run_scenarios, run_scenarios_sharded,
-    run_scenarios_sharded_streamed, run_scenarios_traced, ShardedRun,
+    parallel_map_owned, run_scenarios_sharded, run_scenarios_sharded_streamed, ShardedRun,
 };
 pub use periodic::{run_periodic, PeriodicConfig, PeriodicResult};
 pub use series::{FigureData, Series};

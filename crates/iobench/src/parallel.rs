@@ -2,170 +2,117 @@
 //!
 //! A Δ-graph is a sweep of dozens of independent simulations (one per `dt`
 //! value per strategy); running them on all available cores keeps the full
-//! figure-reproduction suite fast. Two layers are provided:
+//! figure-reproduction suite fast. Every sweep goes through one
+//! contiguous-chunk fan-out over scoped threads, exposed two ways:
 //!
-//! * [`parallel_map`] / [`parallel_map_owned`] — order-preserving,
-//!   panic-propagating scoped-thread maps over a work list;
-//! * [`run_scenarios`] — the sweep primitive: builds one
-//!   `Session<SharedTransport>` per [`Scenario`] on the calling thread,
-//!   ships the fully-built sessions to worker threads (possible because
-//!   the shared transport makes sessions `Send`), and executes them
-//!   concurrently. The simulation is deterministic, so the reports are
-//!   bit-identical to a sequential run.
+//! * [`parallel_map_owned`] — an order-preserving, panic-propagating map
+//!   that moves each item into the worker thread that processes it;
+//! * [`run_scenarios_sharded_streamed`] — the one scenario runner. It
+//!   builds every session on the calling thread (over the `Send`
+//!   [`SharedTransport`], or a [`ClusterTransport`] for cluster
+//!   scenarios), executes them on `shards` workers, resolves each
+//!   application's `T_alone` baseline through a [`BaselineCache`], and
+//!   hands the results to a sink in input order as they complete.
+//!   [`run_scenarios_sharded`] collects the same results into a `Vec`.
+//!
+//! The simulation is deterministic, so every report is bit-identical to
+//! a sequential run's.
 
 use crate::baseline::BaselineCache;
 use calciom::{
     ClusterStats, ClusterTransport, Error, Scenario, Session, SessionReport, SharedTransport,
-    Trace, TraceRecorder,
 };
 use pfs::AppId;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Applies `f` to every item of `items`, distributing the work over up to
 /// `max_threads` worker threads (or the number of available cores if 0),
-/// and returns the results in input order.
-pub fn parallel_map<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = worker_count(max_threads, n);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-
-    thread::scope(|scope| {
-        let mut remaining_items: &[T] = &items;
-        let mut remaining_results: &mut [Option<R>] = &mut results;
-        let f = &f;
-        while !remaining_items.is_empty() {
-            let take = chunk.min(remaining_items.len());
-            let (item_chunk, rest_items) = remaining_items.split_at(take);
-            let (result_chunk, rest_results) = remaining_results.split_at_mut(take);
-            remaining_items = rest_items;
-            remaining_results = rest_results;
-            scope.spawn(move || {
-                for (slot, item) in result_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        // simlint: allow(R4, scope joins every worker and each worker fills its whole chunk)
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
-}
-
-/// By-value variant of [`parallel_map`]: each item is *moved* into the
-/// worker thread that processes it. This is what lets fully-built
+/// and returns the results in input order. Each item is *moved* into the
+/// worker thread that processes it — this is what lets fully-built
 /// `Session<SharedTransport>` values (which own their event queues and
-/// file-system state) execute off-thread.
+/// file-system state) execute off-thread. A panic in `f` propagates.
 pub fn parallel_map_owned<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    let mut results = Vec::with_capacity(items.len());
+    fan_out(items, max_threads, f, |result| {
+        results.push(result);
+        ControlFlow::Continue(())
+    });
+    results
+}
+
+/// The one fan-out behind every parallel entry point: splits `items` into
+/// up to `max_threads` contiguous chunks (0 = one per core), runs `f` over
+/// each chunk on its own scoped thread, and hands the results to `sink` in
+/// input order, each as soon as it and every earlier one are done. With a
+/// single worker everything runs inline on the calling thread.
+///
+/// `sink` returning [`ControlFlow::Break`] stops the fan-out: nothing more
+/// is delivered, and each worker stops after the item it is running. A
+/// panic in `f` propagates to the caller once every worker has stopped.
+fn fan_out<T, R, F>(
+    items: Vec<T>,
+    max_threads: usize,
+    f: F,
+    mut sink: impl FnMut(R) -> ControlFlow<()>,
+) where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let workers = worker_count(max_threads, n);
     if workers == 1 {
-        return items.into_iter().map(f).collect();
+        for item in items {
+            if sink(f(item)).is_break() {
+                return;
+            }
+        }
+        return;
     }
 
-    let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
     let chunk = n.div_ceil(workers);
-
+    let mut items = items.into_iter();
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
     thread::scope(|scope| {
-        let mut remaining_items: &mut [Option<T>] = &mut items;
-        let mut remaining_results: &mut [Option<R>] = &mut results;
         let f = &f;
-        while !remaining_items.is_empty() {
-            let take = chunk.min(remaining_items.len());
-            let (item_chunk, rest_items) = remaining_items.split_at_mut(take);
-            let (result_chunk, rest_results) = remaining_results.split_at_mut(take);
-            remaining_items = rest_items;
-            remaining_results = rest_results;
+        for first in (0..n).step_by(chunk) {
+            let batch: Vec<T> = items.by_ref().take(chunk).collect();
+            let tx = tx.clone();
             scope.spawn(move || {
-                for (slot, item) in result_chunk.iter_mut().zip(item_chunk) {
-                    // simlint: allow(R4, disjoint split_at_mut chunks visit each item exactly once)
-                    *slot = Some(f(item.take().expect("each item visited once")));
+                for (index, item) in (first..).zip(batch) {
+                    // A send failure means the sink stopped the fan-out.
+                    if tx.send((index, f(item))).is_err() {
+                        return;
+                    }
                 }
             });
         }
+        drop(tx);
+
+        // Reorder into input order; returning drops `rx`, which is what
+        // tells the workers to stop.
+        let mut done: Vec<Option<R>> = Vec::with_capacity(n);
+        done.resize_with(n, || None);
+        let mut next = 0;
+        for (index, result) in rx {
+            done[index] = Some(result);
+            while let Some(result) = done.get_mut(next).and_then(Option::take) {
+                next += 1;
+                if sink(result).is_break() {
+                    return;
+                }
+            }
+        }
     });
-
-    results
-        .into_iter()
-        // simlint: allow(R4, scope joins every worker and each worker fills its whole chunk)
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
-}
-
-/// Runs a batch of independent scenarios concurrently and returns their
-/// reports in input order.
-///
-/// Every session is built on the calling thread over the `Send + Sync`
-/// [`SharedTransport`], then moved to a worker thread for execution
-/// (`max_threads` as in [`parallel_map`]; 0 means all cores). Building
-/// eagerly means a configuration error in *any* scenario is reported
-/// before a single simulation starts.
-pub fn run_scenarios(
-    scenarios: &[Scenario],
-    max_threads: usize,
-) -> Result<Vec<SessionReport>, Error> {
-    let sessions = scenarios
-        .iter()
-        .map(Session::<SharedTransport>::with_transport)
-        .collect::<Result<Vec<_>, Error>>()?;
-    parallel_map_owned(sessions, max_threads, Session::execute)
-        .into_iter()
-        .collect()
-}
-
-/// [`run_scenarios`] with observation: each session carries its own
-/// [`TraceRecorder`] to its worker thread and returns the report *and* the
-/// recorded [`Trace`]. Traces are deterministic like the reports — the
-/// recorded stream is identical to what a sequential, locally-transported
-/// run would produce.
-pub fn run_scenarios_traced(
-    scenarios: &[Scenario],
-    max_threads: usize,
-) -> Result<Vec<(SessionReport, Trace)>, Error> {
-    let jobs = scenarios
-        .iter()
-        .map(|s| {
-            Ok((
-                Session::<SharedTransport>::with_transport(s)?,
-                TraceRecorder::for_scenario(s),
-            ))
-        })
-        .collect::<Result<Vec<_>, Error>>()?;
-    parallel_map_owned(jobs, max_threads, |(session, mut recorder)| {
-        session
-            .execute_with(&mut recorder)
-            .map(|report| (report, recorder.into_trace()))
-    })
-    .into_iter()
-    .collect()
 }
 
 /// The outcome of one scenario of a sharded sweep: the report, the
@@ -222,10 +169,9 @@ impl SessionJob {
     }
 }
 
-/// [`run_scenarios`] for machine-scale sweeps: the scenario list is split
-/// into `shards` contiguous batches, each batch executes on its own worker
-/// thread (`std::thread::scope`), and every run also resolves its
-/// applications' `T_alone` baselines through `cache`.
+/// Runs a batch of independent scenarios and returns one [`ShardedRun`]
+/// per scenario, in input order: [`run_scenarios_sharded_streamed`]
+/// collected into a `Vec`.
 ///
 /// Passing [`BaselineCache::global`] (or any one cache) shares baselines
 /// across all shards — concurrent lookups of the same `(app, pfs)` pair
@@ -238,32 +184,24 @@ pub fn run_scenarios_sharded(
     shards: usize,
     cache: &BaselineCache,
 ) -> Result<Vec<ShardedRun>, Error> {
-    // Build every session up front so a configuration error in any
-    // scenario surfaces before a single simulation starts.
-    let jobs = scenarios
-        .iter()
-        .map(|scenario| Ok((SessionJob::build(scenario)?, scenario)))
-        .collect::<Result<Vec<_>, Error>>()?;
-    parallel_map_owned(jobs, shards, |(job, scenario)| {
-        execute_sharded_job(job, scenario, cache)
-    })
-    .into_iter()
-    .collect()
+    let mut runs = Vec::with_capacity(scenarios.len());
+    run_scenarios_sharded_streamed(scenarios, shards, cache, |run| runs.push(run))?;
+    Ok(runs)
 }
 
-/// [`run_scenarios_sharded`] with incremental delivery: results are
-/// handed to `sink` **in input order**, each as soon as it (and every
-/// earlier one) has finished, instead of materializing the full result
-/// vector. This is what lets `calciom-serve` stream a machine-scale
-/// `/v1/batch` response while later shards are still simulating.
+/// The scenario runner: the list is split into `shards` contiguous
+/// batches (0 = one per core), each batch executes on its own worker
+/// thread — inline on the calling thread when there is only one — and
+/// every run also resolves its applications' `T_alone` baselines through
+/// `cache`. Results are handed to `sink` **in input order**, each as soon
+/// as it (and every earlier one) has finished, which is what lets
+/// `calciom-serve` stream a machine-scale `/v1/batch` response while
+/// later shards are still simulating.
 ///
-/// The contract mirrors the materialized variant: every session is built
-/// up front, so a configuration error in *any* scenario returns `Err`
-/// before `sink` sees a single result. A runtime [`Error`] aborts the
-/// stream — `sink` has then been called for some prefix of the inputs
-/// (possibly empty) and the error is returned. Each delivered
-/// [`ShardedRun`] is bit-identical to the one [`run_scenarios_sharded`]
-/// would have produced at the same index.
+/// Every session is built up front, so a configuration error in *any*
+/// scenario returns `Err` before `sink` sees a single result. A runtime
+/// [`Error`] stops the run: `sink` has then been called for every
+/// scenario before the first failing one, and that error is returned.
 pub fn run_scenarios_sharded_streamed(
     scenarios: &[Scenario],
     shards: usize,
@@ -274,65 +212,26 @@ pub fn run_scenarios_sharded_streamed(
         .iter()
         .map(|scenario| Ok((SessionJob::build(scenario)?, scenario)))
         .collect::<Result<Vec<_>, Error>>()?;
-    let n = jobs.len();
-    if n == 0 {
-        return Ok(());
-    }
-    let workers = worker_count(shards, n);
-    let chunk = n.div_ceil(workers);
-
-    // Contiguous chunks, exactly like parallel_map_owned, but each worker
-    // reports through a channel the moment a job finishes; the calling
-    // thread reorders into input order and feeds the sink.
-    type IndexedJob<'a> = (usize, (SessionJob, &'a Scenario));
-    let mut chunks: Vec<Vec<IndexedJob<'_>>> = Vec::new();
-    for (i, job) in jobs.into_iter().enumerate() {
-        if i % chunk == 0 {
-            chunks.push(Vec::with_capacity(chunk));
-        }
-        if let Some(last) = chunks.last_mut() {
-            last.push((i, job));
-        }
-    }
-
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<ShardedRun, Error>)>();
-    thread::scope(|scope| {
-        for batch in chunks {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                for (index, (job, scenario)) in batch {
-                    let result = execute_sharded_job(job, scenario, cache);
-                    // A send failure means the receiver gave up (an
-                    // earlier shard errored); stop simulating.
-                    if tx.send((index, result)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        let mut done: BTreeMap<usize, ShardedRun> = BTreeMap::new();
-        let mut next = 0usize;
-        for (index, result) in rx {
-            match result {
-                Ok(run) => {
-                    done.insert(index, run);
-                }
-                Err(e) => return Err(e),
-            }
-            while let Some(run) = done.remove(&next) {
+    let mut outcome = Ok(());
+    fan_out(
+        jobs,
+        shards,
+        |(job, scenario)| execute_sharded_job(job, scenario, cache),
+        |result| match result {
+            Ok(run) => {
                 sink(run);
-                next += 1;
+                ControlFlow::Continue(())
             }
-        }
-        Ok(())
-    })
+            Err(e) => {
+                outcome = Err(e);
+                ControlFlow::Break(())
+            }
+        },
+    );
+    outcome
 }
 
-/// Executes one scenario of a sharded sweep and resolves its baselines —
-/// the shared body of [`run_scenarios_sharded`] and
-/// [`run_scenarios_sharded_streamed`].
+/// Executes one scenario of a sharded sweep and resolves its baselines.
 fn execute_sharded_job(
     job: SessionJob,
     scenario: &Scenario,
@@ -375,32 +274,32 @@ mod tests {
     #[test]
     fn preserves_order_and_values() {
         let input: Vec<u64> = (0..257).collect();
-        let out = parallel_map(input.clone(), 0, |x| x * 2);
+        let out = parallel_map_owned(input.clone(), 0, |x| x * 2);
         assert_eq!(out, input.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn works_with_one_thread_and_empty_input() {
-        let out = parallel_map(vec![1, 2, 3], 1, |x| x + 1);
+        let out = parallel_map_owned(vec![1, 2, 3], 1, |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
-        let empty: Vec<i32> = parallel_map(Vec::<i32>::new(), 4, |x| *x);
+        let empty: Vec<i32> = parallel_map_owned(Vec::<i32>::new(), 4, |x| x);
         assert!(empty.is_empty());
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let out = parallel_map(vec![10, 20], 16, |x| x / 10);
+        let out = parallel_map_owned(vec![10, 20], 16, |x| x / 10);
         assert_eq!(out, vec![1, 2]);
     }
 
     #[test]
     #[should_panic]
     fn panics_propagate() {
-        parallel_map(vec![1, 2, 3], 2, |x| {
-            if *x == 2 {
+        parallel_map_owned(vec![1, 2, 3], 2, |x| {
+            if x == 2 {
                 panic!("boom");
             }
-            *x
+            x
         });
     }
 
@@ -438,7 +337,11 @@ mod tests {
     fn parallel_scenario_reports_are_bit_identical_to_sequential() {
         let scenarios = scenario_grid();
         let sequential: Vec<_> = scenarios.iter().map(|s| s.run().unwrap()).collect();
-        let parallel = run_scenarios(&scenarios, 4).unwrap();
+        let parallel: Vec<_> = run_scenarios_sharded(&scenarios, 4, &BaselineCache::new())
+            .unwrap()
+            .into_iter()
+            .map(|run| run.report)
+            .collect();
         assert_eq!(parallel, sequential);
     }
 
@@ -478,8 +381,64 @@ mod tests {
     fn run_scenarios_surfaces_configuration_errors_before_running() {
         let mut scenarios = scenario_grid();
         scenarios[2].apps.clear();
-        let err = run_scenarios(&scenarios, 2).unwrap_err();
+        let mut delivered = 0;
+        let err = run_scenarios_sharded_streamed(&scenarios, 2, &BaselineCache::new(), |_| {
+            delivered += 1
+        })
+        .unwrap_err();
         assert_eq!(err, Error::Config(calciom::ConfigError::NoApplications));
+        assert_eq!(delivered, 0, "the sink sees nothing when building fails");
+    }
+
+    /// Reports, baselines and cluster stats of a run — everything but the
+    /// host wall-clock.
+    fn outcome(run: &ShardedRun) -> (SessionReport, BTreeMap<AppId, f64>, Option<ClusterStats>) {
+        (run.report.clone(), run.alone.clone(), run.cluster)
+    }
+
+    #[test]
+    fn streamed_runner_delivers_in_input_order_across_shards() {
+        // Eight scenarios over three shards: chunks of 3, 3 and 2 finish
+        // in any order, yet the sink sees input order, and every result
+        // equals the collected runner's at the same index.
+        let scenarios: Vec<Scenario> = scenario_grid().into_iter().chain(scenario_grid()).collect();
+        let mut streamed = Vec::new();
+        run_scenarios_sharded_streamed(&scenarios, 3, &BaselineCache::new(), |run| {
+            streamed.push(run)
+        })
+        .unwrap();
+        let collected = run_scenarios_sharded(&scenarios, 1, &BaselineCache::new()).unwrap();
+        assert_eq!(streamed.len(), scenarios.len());
+        for ((scenario, run), expected) in scenarios.iter().zip(&streamed).zip(&collected) {
+            assert_eq!(run.report, scenario.run().unwrap(), "input order kept");
+            assert_eq!(outcome(run), outcome(expected));
+        }
+    }
+
+    #[test]
+    fn streamed_runner_stops_after_the_prefix_before_a_runtime_error() {
+        // Scenario 5 builds fine but cannot finish within its horizon:
+        // the sink gets exactly scenarios 0..5, then the error returns.
+        let mut scenarios: Vec<Scenario> =
+            scenario_grid().into_iter().chain(scenario_grid()).collect();
+        scenarios[5].horizon = simcore::SimDuration::from_secs(0.5);
+        for shards in [1, 2, 3] {
+            let mut delivered = Vec::new();
+            let err =
+                run_scenarios_sharded_streamed(&scenarios, shards, &BaselineCache::new(), |run| {
+                    delivered.push(run.report)
+                })
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::Session(calciom::SessionError::HorizonExceeded { .. })
+                ),
+                "{err}"
+            );
+            let expected: Vec<_> = scenarios[..5].iter().map(|s| s.run().unwrap()).collect();
+            assert_eq!(delivered, expected, "shards = {shards}");
+        }
     }
 
     #[test]

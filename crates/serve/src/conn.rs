@@ -44,12 +44,22 @@ pub enum TimeoutKind {
     MidRequest,
 }
 
-/// A parsed request waiting for a worker, with the close decision its
-/// head (or the request cap) implies.
+/// How the response to one request goes on the wire.
+#[derive(Debug, Clone, Copy, Default)]
+struct Framing {
+    /// The connection closes after this exchange (the request's head or
+    /// the request cap says so).
+    close: bool,
+    /// The client spoke HTTP/1.0, so a streamed body goes out
+    /// close-delimited instead of chunked.
+    http_10: bool,
+}
+
+/// A parsed request waiting for a worker, with its response framing.
 #[derive(Debug)]
 struct PendingRequest {
     request: Request,
-    close: bool,
+    framing: Framing,
 }
 
 /// State of one persistent connection (see the module docs).
@@ -57,9 +67,8 @@ pub struct Connection {
     id: u64,
     parser: RequestParser,
     pending: VecDeque<PendingRequest>,
-    /// `Some(close)` while a request is being handled; the flag is the
-    /// `Connection` framing decision for its response.
-    in_flight: Option<bool>,
+    /// `Some` while a request is being handled: its response framing.
+    in_flight: Option<Framing>,
     /// An unparsable-input error response that must wait for the
     /// in-flight response before it can be framed (ordering).
     poisoned: Option<Response>,
@@ -118,7 +127,10 @@ impl Connection {
                     let close = parsed.close || capped;
                     self.pending.push_back(PendingRequest {
                         request: parsed.request,
-                        close,
+                        framing: Framing {
+                            close,
+                            http_10: parsed.http_10,
+                        },
                     });
                     if close {
                         self.reads_done = true;
@@ -179,7 +191,7 @@ impl Connection {
             return None;
         }
         let p = self.pending.pop_front()?;
-        self.in_flight = Some(p.close);
+        self.in_flight = Some(p.framing);
         Some(p.request)
     }
 
@@ -187,28 +199,37 @@ impl Connection {
     /// could not be enqueued (worker queue full) back to the front of
     /// the pending queue.
     pub fn undo_dispatch(&mut self, request: Request) {
-        let close = self.in_flight.take().unwrap_or(false);
-        self.pending.push_front(PendingRequest { request, close });
+        let framing = self.in_flight.take().unwrap_or_default();
+        self.pending.push_front(PendingRequest { request, framing });
     }
 
     /// Routes one response part from the worker into the outgoing
-    /// buffer, applying the wire framing.
+    /// buffer, applying the wire framing: a stream is chunked, or — for
+    /// an HTTP/1.0 client — close-delimited, ending with the connection.
     pub fn on_part(&mut self, part: ResponsePart) {
-        let close = self.in_flight.unwrap_or(true);
+        let Framing { close, http_10 } = self.in_flight.unwrap_or(Framing {
+            close: true,
+            http_10: false,
+        });
+        let chunked = !http_10;
         match part {
             ResponsePart::Full(r) => {
                 self.out.extend_from_slice(&r.serialize(close));
                 self.complete(close);
             }
             ResponsePart::StreamHead(h) => {
-                self.out.extend_from_slice(&h.serialize_chunked_head(close));
+                self.out
+                    .extend_from_slice(&h.serialize_stream_head(chunked, close));
             }
-            ResponsePart::StreamChunk(c) => {
+            ResponsePart::StreamChunk(c) if chunked => {
                 self.out.extend_from_slice(&chunk_frame(&c));
             }
+            ResponsePart::StreamChunk(c) => self.out.extend_from_slice(&c),
             ResponsePart::StreamEnd => {
-                self.out.extend_from_slice(CHUNK_END);
-                self.complete(close);
+                if chunked {
+                    self.out.extend_from_slice(CHUNK_END);
+                }
+                self.complete(close || !chunked);
             }
             ResponsePart::StreamAbort(_) => {
                 // The head is already on the wire; all the server can do
@@ -424,6 +445,37 @@ mod tests {
         assert!(out.contains("transfer-encoding: chunked"));
         assert!(out.contains("5\r\nhello\r\n0\r\n\r\n"), "{out}");
         assert!(!c.is_in_flight());
+    }
+
+    #[test]
+    fn http_10_streams_close_delimited_and_closes() {
+        // Even a keep-alive HTTP/1.0 request gets its streamed body raw,
+        // ended by closing the connection: chunked is HTTP/1.1-only.
+        let mut c = conn(None);
+        c.on_bytes(
+            b"GET /a HTTP/1.0\r\nconnection: keep-alive\r\n\r\nGET /b HTTP/1.0\r\n\r\n",
+            Instant::now(),
+        )
+        .unwrap();
+        c.take_dispatch().unwrap();
+        c.on_part(ResponsePart::StreamHead(Response::with_body(
+            200,
+            "application/json",
+            "",
+        )));
+        c.on_part(ResponsePart::StreamChunk(b"hello".to_vec()));
+        c.on_part(ResponsePart::StreamChunk(b" world".to_vec()));
+        c.on_part(ResponsePart::StreamEnd);
+        let out = String::from_utf8(c.writable().to_vec()).unwrap();
+        assert!(!out.contains("transfer-encoding"), "{out}");
+        assert!(!out.contains("content-length"), "{out}");
+        assert!(
+            out.ends_with("connection: close\r\n\r\nhello world"),
+            "{out}"
+        );
+        assert!(c.take_dispatch().is_none(), "/b is dropped");
+        c.advance_write(c.writable().len(), Instant::now());
+        assert!(c.finished());
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   ([`HttpError::BodyTooLarge`] → `413`).
 //! * Responses carry explicit `Content-Length` + `Connection` framing
 //!   ([`Response::serialize`]), so one connection can carry many
-//!   exchanges; [`Response::serialize_chunked_head`] plus
+//!   exchanges; [`Response::serialize_stream_head`] plus
 //!   [`chunk_frame`]/[`CHUNK_END`] frame streamed bodies with
-//!   `Transfer-Encoding: chunked`.
+//!   `Transfer-Encoding: chunked` (close-delimited for HTTP/1.0).
 //!
 //! Connection lifetime policy (idle/header timeouts, requests-per-
 //! connection cap) lives in the transports ([`crate::reactor`],
@@ -113,7 +113,7 @@ impl From<std::io::Error> for HttpError {
 }
 
 /// One parsed request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, …).
     pub method: String,
@@ -150,12 +150,16 @@ impl Request {
 /// One request as it came off the wire, with the connection decision the
 /// head implies: `close` is true when the client sent
 /// `Connection: close`, or spoke HTTP/1.0 without asking for keep-alive.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParsedRequest {
     /// The parsed request.
     pub request: Request,
     /// Whether the connection must close after this exchange.
     pub close: bool,
+    /// Whether the request line said `HTTP/1.0`. Such a client cannot
+    /// decode a chunked body, so a streamed response to it goes out
+    /// close-delimited (RFC 9112 §6.1).
+    pub http_10: bool,
 }
 
 /// Decodes `%XX` escapes and `+` spaces. Returns `None` on a truncated
@@ -201,8 +205,7 @@ enum ParseState {
     Head,
     /// Head parsed; waiting for `remaining` more body bytes.
     Body {
-        request: Request,
-        close: bool,
+        parsed: ParsedRequest,
         remaining: usize,
     },
 }
@@ -267,42 +270,23 @@ impl RequestParser {
                     if head_len > MAX_HEAD_BYTES {
                         return Err(HttpError::HeadTooLarge);
                     }
-                    let (request, close) = parse_head(&pending[..head_len])?;
+                    let parsed = parse_head(&pending[..head_len])?;
                     self.start += head_len;
-                    let remaining = declared_body_len(&request, self.max_body)?;
-                    self.state = ParseState::Body {
-                        request,
-                        close,
-                        remaining,
-                    };
+                    let remaining = declared_body_len(&parsed.request, self.max_body)?;
+                    self.state = ParseState::Body { parsed, remaining };
                 }
-                ParseState::Body {
-                    request,
-                    close,
-                    remaining,
-                } => {
-                    let available = self.buf.len() - self.start;
-                    if available < *remaining {
+                ParseState::Body { parsed, remaining } => {
+                    let end = self.start + *remaining;
+                    if self.buf.len() < end {
                         self.compact();
                         return Ok(None);
                     }
-                    let body = self.buf[self.start..self.start + *remaining].to_vec();
-                    self.start += *remaining;
-                    let mut request = std::mem::replace(
-                        request,
-                        Request {
-                            method: String::new(),
-                            path: String::new(),
-                            query: String::new(),
-                            headers: BTreeMap::new(),
-                            body: Vec::new(),
-                        },
-                    );
-                    request.body = body;
-                    let close = *close;
+                    let mut parsed = std::mem::take(parsed);
+                    parsed.request.body = self.buf[self.start..end].to_vec();
+                    self.start = end;
                     self.state = ParseState::Head;
                     self.compact();
-                    return Ok(Some(ParsedRequest { request, close }));
+                    return Ok(Some(parsed));
                 }
             }
         }
@@ -335,9 +319,9 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
     None
 }
 
-/// Parses the request line + headers; returns the (bodiless) request and
-/// the connection-close decision its head implies.
-fn parse_head(head: &[u8]) -> Result<(Request, bool), HttpError> {
+/// Parses the request line + headers into a (still bodiless) request and
+/// the connection decisions its head implies.
+fn parse_head(head: &[u8]) -> Result<ParsedRequest, HttpError> {
     let text = std::str::from_utf8(head)
         .map_err(|_| HttpError::BadRequestLine("<non-UTF-8 head>".to_string()))?;
     let mut lines = text.split('\n').map(|l| l.trim_end_matches('\r'));
@@ -376,8 +360,8 @@ fn parse_head(head: &[u8]) -> Result<(Request, bool), HttpError> {
     };
     let path = percent_decode(raw_path).unwrap_or_else(|| raw_path.to_string());
 
-    Ok((
-        Request {
+    Ok(ParsedRequest {
+        request: Request {
             method,
             path,
             query,
@@ -385,7 +369,8 @@ fn parse_head(head: &[u8]) -> Result<(Request, bool), HttpError> {
             body: Vec::new(),
         },
         close,
-    ))
+        http_10,
+    })
 }
 
 /// The declared body length a parsed head commits the stream to, checked
@@ -495,19 +480,23 @@ impl Response {
         out
     }
 
-    /// Serializes status line + headers for a streamed response: chunked
-    /// transfer coding, no `Content-Length`. The body (which must be
-    /// empty here) follows as [`chunk_frame`]s ending in [`CHUNK_END`].
-    pub fn serialize_chunked_head(&self, close: bool) -> Vec<u8> {
-        let mut out = self.head_prefix().into_bytes();
-        out.extend_from_slice(
-            format!(
-                "transfer-encoding: chunked\r\nconnection: {}\r\n\r\n",
-                if close { "close" } else { "keep-alive" }
-            )
-            .as_bytes(),
-        );
-        out
+    /// Serializes status line + headers for a streamed response, with no
+    /// `Content-Length`; the body (which must be empty here) follows in
+    /// pieces. A `chunked` head announces [`chunk_frame`]s ending in
+    /// [`CHUNK_END`]. Otherwise the body is close-delimited — raw bytes
+    /// ended by closing the connection, the only streamed framing an
+    /// HTTP/1.0 client understands — so the head always says `close`.
+    pub fn serialize_stream_head(&self, chunked: bool, close: bool) -> Vec<u8> {
+        let mut head = self.head_prefix();
+        if chunked {
+            head.push_str("transfer-encoding: chunked\r\n");
+        }
+        head.push_str(if close || !chunked {
+            "connection: close\r\n\r\n"
+        } else {
+            "connection: keep-alive\r\n\r\n"
+        });
+        head.into_bytes()
     }
 }
 
@@ -603,10 +592,9 @@ mod tests {
 
         let mut parser = RequestParser::new(64);
         parser.feed(b"GET /a HTTP/1.0\r\n\r\n");
-        assert!(
-            parser.next_request().unwrap().unwrap().close,
-            "1.0 defaults to close"
-        );
+        let parsed = parser.next_request().unwrap().unwrap();
+        assert!(parsed.close, "1.0 defaults to close");
+        assert!(parsed.http_10);
 
         let mut parser = RequestParser::new(64);
         parser.feed(b"GET /a HTTP/1.0\r\nconnection: keep-alive\r\n\r\n");
@@ -667,11 +655,14 @@ mod tests {
 
     #[test]
     fn chunked_head_and_frames() {
-        let head = Response::with_body(200, "application/json", "").serialize_chunked_head(false);
-        let head = String::from_utf8(head).unwrap();
+        let response = Response::with_body(200, "application/json", "");
+        let head = String::from_utf8(response.serialize_stream_head(true, false)).unwrap();
         assert!(head.contains("transfer-encoding: chunked\r\n"));
         assert!(head.contains("connection: keep-alive\r\n"));
         assert!(!head.contains("content-length"));
+        let plain = String::from_utf8(response.serialize_stream_head(false, false)).unwrap();
+        assert!(!plain.contains("transfer-encoding"));
+        assert!(plain.ends_with("connection: close\r\n\r\n"), "{plain}");
 
         assert_eq!(chunk_frame(b"hello"), b"5\r\nhello\r\n");
         assert!(chunk_frame(b"").is_empty());

@@ -167,8 +167,8 @@ pub fn timeline_json(timeline: &Timeline) -> String {
 
 /// Opening fragment of a `/v1/batch` body — everything before the first
 /// run entry. Split out (with [`batch_entry_json`] and
-/// [`BATCH_EPILOGUE`]) so the streamed chunked rendering is
-/// byte-identical to the materialized [`batch_json`] *by construction*.
+/// [`BATCH_EPILOGUE`]) so the body can be emitted entry by entry as
+/// shard results complete.
 pub fn batch_prelude(shards: usize, scenarios: usize) -> String {
     format!("{{\"shards\":{shards},\"scenarios\":{scenarios},\"runs\":[")
 }
@@ -190,17 +190,6 @@ pub fn batch_entry_json(run: &ShardedRun) -> String {
         "{{\"report\":{},\"alone_secs\":{{{}}}}}",
         report_json(&run.report).trim_end(),
         alone.join(",")
-    )
-}
-
-/// The `/v1/batch` body: one entry per scenario, in request order.
-pub fn batch_json(shards: usize, runs: &[ShardedRun]) -> String {
-    let entries: Vec<String> = runs.iter().map(batch_entry_json).collect();
-    format!(
-        "{}{}{}",
-        batch_prelude(shards, runs.len()),
-        entries.join(","),
-        BATCH_EPILOGUE
     )
 }
 

@@ -25,7 +25,8 @@
 //! | `/v1/batch` | POST | concatenated scenarios → sharded reports JSON |
 //!
 //! `POST` endpoints accept `?policy=<spec>` (percent-encoded policy
-//! spec, e.g. `rr%2810s%29`), and `/v1/batch` accepts `?shards=<n>`.
+//! spec, e.g. `rr%2810s%29`), and `/v1/batch` accepts `?shards=<n>`
+//! (capped at the configured shard count).
 //! Typed simulator errors map to structured JSON error bodies — parse
 //! failures are `400`, unbuildable-but-parsable scenarios `422`,
 //! runtime simulation failures `500`; the server never panics on a
@@ -33,9 +34,10 @@
 //!
 //! Connections are persistent: HTTP/1.1 keep-alive with pipelining, an
 //! idle timeout between requests, a slow-loris (header) timeout inside
-//! them, and a requests-per-connection cap. Machine-scale `/v1/batch`
-//! responses stream `Transfer-Encoding: chunked` output as shard
-//! results complete (`?stream=1/0` overrides). One front end serves
+//! them, and a requests-per-connection cap. A `/v1/batch` of 512
+//! applications or more streams `Transfer-Encoding: chunked` output as
+//! shard results complete (close-delimited for HTTP/1.0 clients). One
+//! front end serves
 //! them: an epoll reactor ([`reactor`]), which parks slow clients
 //! without tying up a simulation worker. It makes the server Linux-only.
 //!

@@ -3,11 +3,12 @@
 //! [`Service::handle_into`] maps one parsed [`Request`] to a sequence of
 //! [`ResponsePart`]s pushed into a [`ResponseSink`], and writes one
 //! structured log line. Most endpoints emit a single
-//! [`ResponsePart::Full`]; a machine-scale `/v1/batch` streams a chunked
-//! body as shard results complete. Keeping the core free of sockets
-//! means the whole endpoint surface (routing, validation, error mapping,
-//! caching, ETags, streaming decisions) is unit-testable without binding
-//! a port; the epoll reactor ([`crate::reactor`]) is a pump around it.
+//! [`ResponsePart::Full`]; a `/v1/batch` of 512 applications or more
+//! streams a chunked body as shard results complete. Keeping the core
+//! free of sockets means the whole endpoint surface (routing, validation,
+//! error mapping, caching, ETags, streaming decisions) is unit-testable
+//! without binding a port; the epoll reactor ([`crate::reactor`]) is a
+//! pump around it.
 //!
 //! ## Statelessness and determinism
 //!
@@ -16,10 +17,10 @@
 //! deterministic, and the JSON/trace renderings iterate `BTreeMap`s —
 //! so concurrent identical requests produce byte-identical bodies,
 //! strong input-derived ETags are valid, and the response cache can
-//! never serve a stale or divergent body. A streamed `/v1/batch` body is
-//! byte-identical (after de-chunking) to the materialized rendering by
-//! construction — both are assembled from [`crate::json::batch_prelude`]
-//! \+ [`crate::json::batch_entry_json`] + [`crate::json::BATCH_EPILOGUE`].
+//! never serve a stale or divergent body. Every `/v1/batch` body, streamed
+//! or not, is emitted by one path from [`crate::json::batch_prelude`]
+//! \+ [`crate::json::batch_entry_json`] + [`crate::json::BATCH_EPILOGUE`],
+//! so the two framings carry the same bytes.
 //! Host wall-clock appears only in the request log, never in a body.
 
 use crate::cache::{CachedResponse, ResponseCache};
@@ -28,10 +29,10 @@ use crate::http::{Request, Response};
 use crate::json;
 use crate::log::{CacheOutcome, RequestLog, RequestRecord};
 use calciom::{
-    ConfigError, Error, NullObserver, PolicySpec, Scenario, Session, SimEvent, SimObserver,
+    ConfigError, Error, NullObserver, PolicySpec, Scenario, SimEvent, SimObserver,
     TimelineAggregator, Trace, TraceRecorder,
 };
-use iobench::{run_scenarios_sharded, run_scenarios_sharded_streamed, BaselineCache};
+use iobench::{run_scenarios_sharded_streamed, BaselineCache};
 use simcore::time::SimTime;
 use std::time::Instant;
 
@@ -41,6 +42,10 @@ const JSON: &str = "application/json";
 const TEXT: &str = "text/plain; charset=utf-8";
 /// Header line that starts each scenario document in a `/v1/batch` body.
 const SCENARIO_HEADER: &str = "calciom-scenario v1";
+/// A `/v1/batch` whose scenarios hold at least this many applications in
+/// total streams its body chunked, entry by entry; a smaller batch is
+/// collected into one `Content-Length` response.
+const STREAM_APPS: usize = 512;
 /// Every route the service knows, with its allowed method — the `405`
 /// response's `allow` header comes straight from this table.
 const ROUTES: &[(&str, &str)] = &[
@@ -58,8 +63,9 @@ const ROUTES: &[(&str, &str)] = &[
 /// streamed sequence `StreamHead (StreamChunk)* (StreamEnd |
 /// StreamAbort)`. The transport owns the framing: `Full` is written with
 /// `Content-Length`, a stream with `Transfer-Encoding: chunked`
-/// ([`Response::serialize_chunked_head`] /
-/// [`crate::http::chunk_frame`] / [`crate::http::CHUNK_END`]).
+/// ([`Response::serialize_stream_head`] /
+/// [`crate::http::chunk_frame`] / [`crate::http::CHUNK_END`]), or
+/// close-delimited for an HTTP/1.0 client.
 #[derive(Debug)]
 pub enum ResponsePart {
     /// A complete response; exactly one exchange.
@@ -80,8 +86,9 @@ pub enum ResponsePart {
 }
 
 /// Where [`Service::handle_into`] pushes response parts. Implemented by
-/// the reactor's completion queue and by [`CollectSink`] for tests and
-/// the materialized [`Service::handle`].
+/// the reactor's completion queue and by [`CollectSink`] for tests,
+/// batches under the streaming threshold and the materialized
+/// [`Service::handle`].
 pub trait ResponseSink {
     /// Receives the next part, in order.
     fn part(&mut self, part: ResponsePart);
@@ -240,18 +247,11 @@ impl Service {
     /// chunks while later shards are still simulating.
     pub fn handle_into(&self, conn: Option<u64>, request: &Request, sink: &mut dyn ResponseSink) {
         let started = Instant::now();
-        let meta = self.dispatch_into(request, sink);
-        self.log.record(&RequestRecord {
-            conn,
-            method: request.method.clone(),
-            path: request.path.clone(),
-            scenario_hash: (!request.body.is_empty()).then(|| json::fnv64(&request.body)),
-            shards: meta.shards,
-            status: meta.status,
-            events: meta.events,
-            wall: started.elapsed(),
-            cache: meta.cache,
-        });
+        let meta = match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/v1/batch") => self.batch_into(request, sink),
+            _ => self.dispatch(request).emit(sink),
+        };
+        self.record(conn, request, meta, started);
     }
 
     /// Serves the request inline **iff** it needs no simulation: trivial
@@ -275,6 +275,12 @@ impl Service {
             return false;
         };
         let meta = handled.emit(sink);
+        self.record(conn, request, meta, started);
+        true
+    }
+
+    /// Writes the log line of one request handled since `started`.
+    fn record(&self, conn: Option<u64>, request: &Request, meta: LogMeta, started: Instant) {
         self.log.record(&RequestRecord {
             conn,
             method: request.method.clone(),
@@ -286,7 +292,6 @@ impl Service {
             wall: started.elapsed(),
             cache: meta.cache,
         });
-        true
     }
 
     /// The dispatch half of [`Service::handle_fast`]. A sustained
@@ -322,27 +327,8 @@ impl Service {
                     // it never needs a simulation worker.
                     Err(response) => return Some(Handled::plain(response)),
                 };
-                let key = cache_key(&request.path, &scenario, None);
-                let tag = json::etag(&key);
-                if request.header("if-none-match") == Some(tag.as_str()) {
-                    return Some(Handled {
-                        response: Response {
-                            status: 304,
-                            headers: vec![("etag".to_string(), tag)],
-                            body: Vec::new(),
-                        },
-                        events: 0,
-                        shards: None,
-                        cache: None,
-                    });
-                }
-                let hit = self.cache.get(&key)?;
-                if let Some(raw) = raw {
-                    // Memoize under the raw bytes: the next identical
-                    // request skips the parse entirely.
-                    self.cache.insert(&raw, hit.clone());
-                }
-                Some(hit_handled(hit, None))
+                let key = cache_key(&request.path, &scenario);
+                self.revalidate_or_hit(request, &key, &json::etag(&key), None, raw.as_deref())
             }
             // Batches can shard/stream: always worker territory.
             ("POST", "/v1/batch") => None,
@@ -371,36 +357,17 @@ impl Service {
         response
     }
 
-    fn dispatch_into(&self, request: &Request, sink: &mut dyn ResponseSink) -> LogMeta {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/batch") => self.batch_into(request, sink),
-            _ => self.dispatch(request).emit(sink),
-        }
-    }
-
     fn dispatch(&self, request: &Request) -> Handled {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => Handled::plain(Response::with_body(200, TEXT, "ok\n")),
             ("GET", "/v1/policies") => {
-                self.serve_cached(request, "GET /v1/policies".to_string(), None, || {
+                self.serve_cached(request, "GET /v1/policies".to_string(), || {
                     Ok((json::policies_json().into_bytes(), JSON, 0))
                 })
             }
             ("POST", "/v1/run") => self.run(request),
             ("POST", "/v1/trace") => self.trace(request),
             ("POST", "/v1/timeline") => self.timeline(request),
-            ("POST", "/v1/batch") => {
-                // Reached only via the materializing path (handle());
-                // dispatch_into routes sockets through batch_into.
-                let mut sink = CollectSink::new();
-                let meta = self.batch_into(request, &mut sink);
-                Handled {
-                    response: sink.into_response(),
-                    events: meta.events,
-                    shards: meta.shards,
-                    cache: meta.cache,
-                }
-            }
             (_, path) => {
                 let allowed: Vec<&str> = ROUTES
                     .iter()
@@ -436,11 +403,11 @@ impl Service {
             Ok(s) => s,
             Err(response) => return Handled::plain(response),
         };
-        let key = cache_key("/v1/run", &scenario, None);
-        self.serve_cached(request, key, None, || {
+        let key = cache_key("/v1/run", &scenario);
+        self.serve_cached(request, key, || {
             let mut counter = Counting::new(NullObserver);
-            let report = Session::new(&scenario)
-                .and_then(|s| s.execute_with(&mut counter))
+            let report = scenario
+                .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             Ok((
                 json::report_json(&report).into_bytes(),
@@ -457,11 +424,11 @@ impl Service {
             Ok(s) => s,
             Err(response) => return Handled::plain(response),
         };
-        let key = cache_key("/v1/trace", &scenario, None);
-        self.serve_cached(request, key, None, || {
+        let key = cache_key("/v1/trace", &scenario);
+        self.serve_cached(request, key, || {
             let mut counter = Counting::new(TraceRecorder::for_scenario(&scenario));
-            let report = Session::new(&scenario)
-                .and_then(|s| s.execute_with(&mut counter))
+            let report = scenario
+                .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             let events = counter.events;
             let text = counter.inner.into_trace().to_text();
@@ -490,11 +457,11 @@ impl Service {
             Ok(s) => s,
             Err(response) => return Handled::plain(response),
         };
-        let key = cache_key("/v1/timeline", &scenario, None);
-        self.serve_cached(request, key, None, || {
+        let key = cache_key("/v1/timeline", &scenario);
+        self.serve_cached(request, key, || {
             let mut counter = Counting::new(TimelineAggregator::new());
-            Session::new(&scenario)
-                .and_then(|s| s.execute_with(&mut counter))
+            scenario
+                .run_with(&mut counter)
                 .map_err(|e| error_response(&e))?;
             let events = counter.events;
             let timeline = counter.inner.finish();
@@ -503,216 +470,142 @@ impl Service {
     }
 
     /// `POST /v1/batch`: several concatenated scenario documents fanned
-    /// out over the sharded backend. Past the streaming threshold (or
-    /// with `?stream=1`) the body goes out chunked, one entry per
-    /// scenario **as shard results complete**, in request order.
+    /// out over the scenario runner, one entry per scenario in request
+    /// order. A batch of `STREAM_APPS` applications or more goes out
+    /// chunked, each entry as its shard result completes; a smaller one
+    /// is collected into one `Content-Length` response by the same path.
     fn batch_into(&self, request: &Request, sink: &mut dyn ResponseSink) -> LogMeta {
         let shards = match self.shard_count(request) {
             Ok(n) => n,
             Err(response) => return Handled::plain(response).emit(sink),
         };
-        let emit_err = |response: Response, sink: &mut dyn ResponseSink| {
-            Handled {
-                response,
-                events: 0,
-                shards: Some(shards),
-                cache: None,
+        let scenarios = match self.batch_scenarios(request) {
+            Ok(scenarios) => scenarios,
+            Err(response) => {
+                let mut handled = Handled::plain(response);
+                handled.shards = Some(shards);
+                return handled.emit(sink);
             }
-            .emit(sink)
         };
-        let body = match body_text(request) {
-            Ok(t) => t,
-            Err(response) => return emit_err(response, sink),
-        };
-        let mut scenarios = Vec::new();
-        for text in split_scenarios(body) {
-            match self.prepare(text, request) {
-                Ok(s) => scenarios.push(s),
-                Err(response) => return emit_err(response, sink),
-            }
-        }
-        if scenarios.is_empty() {
-            return emit_err(
-                Response::with_body(
-                    400,
-                    JSON,
-                    json::error_json(
-                        "scenario-parse",
-                        &format!("batch body contains no {SCENARIO_HEADER:?} document"),
-                    ),
-                ),
-                sink,
-            );
-        }
-        let stream = match self.stream_requested(request, &scenarios) {
-            Ok(stream) => stream,
-            Err(response) => return emit_err(response, sink),
-        };
-
         let mut key = format!("/v1/batch shards={shards}\n");
         for scenario in &scenarios {
             key.push_str(&scenario.to_text());
         }
-
-        if !stream {
-            return self
-                .serve_cached(request, key, Some(shards), || {
-                    let runs = run_scenarios_sharded(&scenarios, shards, BaselineCache::global())
-                        .map_err(|e| error_response(&e))?;
-                    // The sharded runner executes unobserved, so no event
-                    // count is available for the log (recorded as 0).
-                    Ok((json::batch_json(shards, &runs).into_bytes(), JSON, 0))
-                })
-                .emit(sink);
-        }
-
-        // Streaming path. ETag revalidation and cache hits still
-        // short-circuit to a materialized response — only a cache miss
-        // actually streams.
         let tag = json::etag(&key);
-        if request.header("if-none-match") == Some(tag.as_str()) {
-            let meta = LogMeta {
-                status: 304,
-                events: 0,
-                shards: Some(shards),
-                cache: None,
-            };
-            sink.part(ResponsePart::Full(Response {
-                status: 304,
-                headers: vec![("etag".to_string(), tag)],
-                body: Vec::new(),
-            }));
-            return meta;
+        if let Some(handled) = self.revalidate_or_hit(request, &key, &tag, Some(shards), None) {
+            return handled.emit(sink);
         }
-        if let Some(hit) = self.cache.get(&key) {
-            let meta = LogMeta {
-                status: 200,
-                events: hit.events,
-                shards: Some(shards),
-                cache: Some(CacheOutcome::Hit),
-            };
-            sink.part(ResponsePart::Full(
-                Response::with_body(200, hit.content_type, hit.body)
-                    .header("etag", &hit.etag)
-                    .header("x-cache", CacheOutcome::Hit.label()),
-            ));
-            return meta;
+        let apps: usize = scenarios.iter().map(|s| s.apps.len()).sum();
+        if apps >= STREAM_APPS {
+            return self.run_batch(&scenarios, shards, &key, tag, sink);
         }
+        let mut collect = CollectSink::new();
+        let meta = self.run_batch(&scenarios, shards, &key, tag, &mut collect);
+        sink.part(ResponsePart::Full(collect.into_response()));
+        meta
+    }
 
-        // The head goes out lazily, on the first shard result: a
-        // configuration error raised while *building* the sessions must
-        // still produce a proper 4xx/5xx status line, which is only
-        // possible while nothing has been sent.
-        let mut started = false;
-        let mut first = true;
-        let mut accumulated: Vec<u8> = Vec::new();
+    /// The documents of a `/v1/batch` body, each parsed and validated.
+    fn batch_scenarios(&self, request: &Request) -> Result<Vec<Scenario>, Response> {
+        let scenarios = split_scenarios(body_text(request)?)
+            .into_iter()
+            .map(|text| self.prepare(text, request))
+            .collect::<Result<Vec<_>, Response>>()?;
+        if scenarios.is_empty() {
+            return Err(Response::with_body(
+                400,
+                JSON,
+                json::error_json(
+                    "scenario-parse",
+                    &format!("batch body contains no {SCENARIO_HEADER:?} document"),
+                ),
+            ));
+        }
+        Ok(scenarios)
+    }
+
+    /// Runs a batch and streams its body into `sink`, caching the whole
+    /// body under `key` once it completes. The head goes out lazily, with
+    /// the first entry: a configuration error raised while *building*
+    /// the sessions must still produce a proper 4xx/5xx status line,
+    /// which is only possible while nothing has been sent.
+    fn run_batch(
+        &self,
+        scenarios: &[Scenario],
+        shards: usize,
+        key: &str,
+        tag: String,
+        sink: &mut dyn ResponseSink,
+    ) -> LogMeta {
+        let mut body: Vec<u8> = Vec::new();
         let result =
-            run_scenarios_sharded_streamed(&scenarios, shards, BaselineCache::global(), |run| {
-                if !started {
-                    started = true;
+            run_scenarios_sharded_streamed(scenarios, shards, BaselineCache::global(), |run| {
+                let mut chunk = String::new();
+                if body.is_empty() {
                     sink.part(ResponsePart::StreamHead(
                         Response::with_body(200, JSON, Vec::new())
                             .header("etag", &tag)
                             .header("x-cache", CacheOutcome::Miss.label()),
                     ));
-                    let prelude = json::batch_prelude(shards, scenarios.len());
-                    accumulated.extend_from_slice(prelude.as_bytes());
-                    sink.part(ResponsePart::StreamChunk(prelude.into_bytes()));
+                    chunk.push_str(&json::batch_prelude(shards, scenarios.len()));
+                } else {
+                    chunk.push(',');
                 }
-                let mut entry = String::new();
-                if !first {
-                    entry.push(',');
-                }
-                first = false;
-                entry.push_str(&json::batch_entry_json(&run));
-                accumulated.extend_from_slice(entry.as_bytes());
-                sink.part(ResponsePart::StreamChunk(entry.into_bytes()));
+                chunk.push_str(&json::batch_entry_json(&run));
+                body.extend_from_slice(chunk.as_bytes());
+                sink.part(ResponsePart::StreamChunk(chunk.into_bytes()));
             });
+        let mut meta = LogMeta {
+            status: 200,
+            events: 0,
+            shards: Some(shards),
+            cache: Some(CacheOutcome::Miss),
+        };
         match result {
             Ok(()) => {
-                accumulated.extend_from_slice(json::BATCH_EPILOGUE.as_bytes());
+                body.extend_from_slice(json::BATCH_EPILOGUE.as_bytes());
                 sink.part(ResponsePart::StreamChunk(
                     json::BATCH_EPILOGUE.as_bytes().to_vec(),
                 ));
                 sink.part(ResponsePart::StreamEnd);
+                // The runner executes unobserved, so no event count is
+                // available for the log (recorded as 0).
                 self.cache.insert(
-                    &key,
+                    key,
                     CachedResponse {
-                        body: accumulated,
+                        body,
                         content_type: JSON,
                         etag: tag,
                         events: 0,
                     },
                 );
-                LogMeta {
-                    status: 200,
-                    events: 0,
-                    shards: Some(shards),
-                    cache: Some(CacheOutcome::Miss),
-                }
             }
             Err(e) => {
                 let error = error_response(&e);
-                let status = error.status;
-                if started {
+                meta.status = error.status;
+                meta.cache = None;
+                if body.is_empty() {
+                    sink.part(ResponsePart::Full(error));
+                } else {
                     // Head already sent: the wire can only truncate.
                     sink.part(ResponsePart::StreamAbort(error));
-                } else {
-                    sink.part(ResponsePart::Full(error));
-                }
-                LogMeta {
-                    status,
-                    events: 0,
-                    shards: Some(shards),
-                    cache: None,
                 }
             }
         }
+        meta
     }
 
-    /// Whether this `/v1/batch` request streams: `?stream=1/0` wins,
-    /// otherwise the batch's total application count against the
-    /// configured threshold (0 disables size-triggered streaming).
-    fn stream_requested(
-        &self,
-        request: &Request,
-        scenarios: &[Scenario],
-    ) -> Result<bool, Response> {
-        match query_param_checked(request, "stream")? {
-            Some(value) => match value.as_str() {
-                "1" | "true" => Ok(true),
-                "0" | "false" => Ok(false),
-                other => Err(Response::with_body(
-                    400,
-                    JSON,
-                    json::error_json(
-                        "bad-request",
-                        &format!("stream must be 0 or 1, got {other:?}"),
-                    ),
-                )),
-            },
-            None => {
-                if self.config.stream_apps == 0 {
-                    return Ok(false);
-                }
-                let total_apps: usize = scenarios.iter().map(|s| s.apps.len()).sum();
-                Ok(total_apps >= self.config.stream_apps)
-            }
-        }
-    }
-
-    /// The ETag/If-None-Match/response-cache wrapper every cacheable
-    /// endpoint goes through. `compute` returns `(body, content_type,
+    /// The ETag/If-None-Match/response-cache wrapper of the
+    /// single-response endpoints. `compute` returns `(body, content_type,
     /// events)` or a ready error response (errors are never cached).
     fn serve_cached(
         &self,
         request: &Request,
         key: String,
-        shards: Option<usize>,
         compute: impl FnOnce() -> Result<(Vec<u8>, &'static str, u64), Response>,
     ) -> Handled {
         let tag = json::etag(&key);
-        if let Some(handled) = self.revalidate_or_hit(request, &key, &tag, shards) {
+        if let Some(handled) = self.revalidate_or_hit(request, &key, &tag, None, None) {
             return handled;
         }
         match compute() {
@@ -731,28 +624,26 @@ impl Service {
                         .header("etag", &tag)
                         .header("x-cache", CacheOutcome::Miss.label()),
                     events,
-                    shards,
+                    shards: None,
                     cache: Some(CacheOutcome::Miss),
                 }
             }
-            Err(response) => Handled {
-                response,
-                events: 0,
-                shards,
-                cache: None,
-            },
+            Err(response) => Handled::plain(response),
         }
     }
 
-    /// The no-simulation half of [`Service::serve_cached`]: a matching
+    /// The no-simulation half of every cacheable endpoint: a matching
     /// `If-None-Match` becomes a `304`, a response-cache hit is served
-    /// as-is, and anything else is `None` — the caller must compute.
+    /// as-is, and anything else is `None` — the caller must compute. A
+    /// hit is also stored under `memo`, the fast path's raw-bytes key, so
+    /// the next identical request skips the parse entirely.
     fn revalidate_or_hit(
         &self,
         request: &Request,
         key: &str,
         tag: &str,
         shards: Option<usize>,
+        memo: Option<&str>,
     ) -> Option<Handled> {
         // The ETag is derived from the request's canonical inputs, so a
         // match short-circuits before any simulation work.
@@ -769,14 +660,10 @@ impl Service {
             });
         }
         let hit = self.cache.get(key)?;
-        Some(Handled {
-            response: Response::with_body(200, hit.content_type, hit.body)
-                .header("etag", &hit.etag)
-                .header("x-cache", CacheOutcome::Hit.label()),
-            events: hit.events,
-            shards,
-            cache: Some(CacheOutcome::Hit),
-        })
+        if let Some(memo) = memo {
+            self.cache.insert(memo, hit.clone());
+        }
+        Some(hit_handled(hit, shards))
     }
 
     /// Parses the single-scenario body of `/v1/run`-shaped endpoints.
@@ -814,14 +701,16 @@ impl Service {
         Ok(scenario)
     }
 
-    /// The `?shards=` override of `/v1/batch` (0 or absent → configured
-    /// default).
+    /// The `?shards=` override of `/v1/batch`, clamped to the configured
+    /// shard count (0 or absent → that count): a batch spawns one thread
+    /// per shard, so a request may ask for fewer, never for more.
     fn shard_count(&self, request: &Request) -> Result<usize, Response> {
+        let cap = self.config.effective_shards();
         match query_param_checked(request, "shards")? {
-            None => Ok(self.config.effective_shards()),
+            None => Ok(cap),
             Some(raw) => match raw.parse::<usize>() {
-                Ok(0) => Ok(self.config.effective_shards()),
-                Ok(n) => Ok(n),
+                Ok(0) => Ok(cap),
+                Ok(n) => Ok(n.min(cap)),
                 Err(_) => Err(Response::with_body(
                     400,
                     JSON,
@@ -835,9 +724,6 @@ impl Service {
     }
 }
 
-/// The canonical cache/ETag key: endpoint + policy label + the
-/// scenario's canonical text (the `BaselineCache` key discipline —
-/// `from_text ∘ to_text` has already normalized the request body).
 /// The level-1 memo key for [`Service::handle_fast`]: the raw request
 /// bytes, verbatim (method, target, body). Distinct formatting of the
 /// same scenario gets distinct entries here — the canonical cache
@@ -859,9 +745,9 @@ fn raw_memo_key(request: &Request) -> String {
     key
 }
 
-/// A cache hit as [`Handled`] — the exact response shape
-/// [`Service::serve_cached`] produces for hits, so every cache level is
-/// byte-identical on the wire.
+/// A cache hit as [`Handled`] — one response shape for every cache level
+/// and endpoint, so a hit is byte-identical on the wire wherever it is
+/// served from.
 fn hit_handled(hit: CachedResponse, shards: Option<usize>) -> Handled {
     Handled {
         response: Response::with_body(200, hit.content_type, hit.body)
@@ -873,11 +759,11 @@ fn hit_handled(hit: CachedResponse, shards: Option<usize>) -> Handled {
     }
 }
 
-fn cache_key(endpoint: &str, scenario: &Scenario, shards: Option<usize>) -> String {
+/// The canonical cache/ETag key: endpoint + policy label + the
+/// scenario's canonical text (the `BaselineCache` key discipline —
+/// `from_text ∘ to_text` has already normalized the request body).
+fn cache_key(endpoint: &str, scenario: &Scenario) -> String {
     let mut key = format!("{endpoint} policy={}\n", scenario.arbitration);
-    if let Some(shards) = shards {
-        key.push_str(&format!("shards={shards}\n"));
-    }
     key.push_str(&scenario.to_text());
     key
 }
@@ -986,6 +872,15 @@ mod tests {
 
     fn service() -> Service {
         Service::new(ServeConfig::default(), Box::new(BufferLog::new()))
+    }
+
+    /// Forwards records into a shared buffer the test can read.
+    struct Fwd(std::sync::Arc<BufferLog>);
+
+    impl RequestLog for Fwd {
+        fn record(&self, r: &RequestRecord) {
+            self.0.record(r);
+        }
     }
 
     fn post(path: &str, query: &str, body: impl Into<Vec<u8>>) -> Request {
@@ -1289,43 +1184,79 @@ mod tests {
         assert_eq!(response.status, 400);
     }
 
+    /// One scenario document holding `apps` small serialized writers.
+    fn wide_scenario_text(apps: usize) -> String {
+        Scenario::builder(PfsConfig::grid5000_rennes())
+            .apps((0..apps).map(|i| {
+                AppConfig::new(AppId(i), "w", 8, AccessPattern::contiguous(1.0e6))
+                    .starting_at_secs(i as f64 * 0.01)
+            }))
+            .strategy(calciom::Strategy::FcfsSerialize)
+            .build()
+            .unwrap()
+            .to_text()
+    }
+
+    /// A batch body of exactly `STREAM_APPS` applications.
+    fn streaming_batch() -> String {
+        let half = wide_scenario_text(STREAM_APPS / 2);
+        format!("{half}{half}")
+    }
+
     #[test]
     fn streamed_batch_parts_reassemble_to_the_materialized_body() {
-        let svc = service();
-        let body = format!("{}{}", scenario_text(), scenario_text());
-        let materialized = svc.handle(&post("/v1/batch", "shards=2&stream=0", body.clone()));
-        assert_eq!(materialized.status, 200);
-
-        // Fresh service so the cache is cold — a hit would short-circuit
-        // to a Full part instead of streaming.
+        let body = streaming_batch();
         let svc = service();
         let mut sink = CollectSink::new();
         svc.handle_into(
             None,
-            &post("/v1/batch", "shards=2&stream=1", body),
+            &post("/v1/batch", "shards=2", body.clone()),
             &mut sink,
         );
-        assert!(sink.full.is_none(), "a cold streamed batch must stream");
+        assert!(sink.full.is_none(), "a cold 512-app batch must stream");
         let head = sink.head.as_ref().expect("stream head was emitted");
         assert_eq!(head.status, 200);
         assert!(head
             .headers
             .iter()
             .any(|(n, v)| n == "x-cache" && v == "miss"));
-        let streamed = sink.into_response();
+
+        // The reference: the same batch through the collecting runner,
+        // rendered fragment by fragment.
+        let scenarios: Vec<Scenario> = split_scenarios(&body)
+            .into_iter()
+            .map(|text| Scenario::from_text(text).unwrap())
+            .collect();
+        let shards = svc.config().effective_shards().min(2);
+        let runs =
+            iobench::run_scenarios_sharded(&scenarios, shards, &BaselineCache::new()).unwrap();
+        let entries: Vec<String> = runs.iter().map(json::batch_entry_json).collect();
+        let expected = format!(
+            "{}{}{}",
+            json::batch_prelude(shards, runs.len()),
+            entries.join(","),
+            json::BATCH_EPILOGUE
+        );
         assert_eq!(
-            streamed.body, materialized.body,
-            "de-chunked stream must be byte-identical to the materialized body"
+            String::from_utf8(sink.into_response().body).unwrap(),
+            expected,
+            "de-chunked stream must be byte-identical to the rendered runs"
         );
     }
 
     #[test]
     fn streamed_batch_is_cached_for_later_hits() {
         let svc = service();
-        let body = format!("{}{}", scenario_text(), scenario_text());
-        let first = svc.handle(&post("/v1/batch", "shards=2&stream=1", body.clone()));
+        let first = svc.handle(&post("/v1/batch", "shards=2", streaming_batch()));
         assert_eq!(first.status, 200);
-        let second = svc.handle(&post("/v1/batch", "shards=2&stream=1", body));
+        let mut sink = CollectSink::new();
+        svc.handle_into(
+            None,
+            &post("/v1/batch", "shards=2", streaming_batch()),
+            &mut sink,
+        );
+        assert!(sink.head.is_none(), "a hit is served whole, not streamed");
+        let second = sink.into_response();
         assert_eq!(second.body, first.body);
         assert!(second
             .headers
@@ -1334,27 +1265,81 @@ mod tests {
     }
 
     #[test]
-    fn bad_stream_flag_is_a_400() {
+    fn stream_threshold_triggers_on_total_apps() {
         let svc = service();
-        let response = svc.handle(&post("/v1/batch", "stream=maybe", scenario_text()));
-        assert_eq!(response.status, 400);
+        // 255 + 256 = 511 applications: one `Full` response, whatever
+        // `?stream=` says, with `Content-Length`-ready headers.
+        let below = format!(
+            "{}{}",
+            wide_scenario_text(STREAM_APPS / 2 - 1),
+            wide_scenario_text(STREAM_APPS / 2)
+        );
+        let mut sink = CollectSink::new();
+        svc.handle_into(None, &post("/v1/batch", "stream=1", below), &mut sink);
+        assert!(sink.head.is_none(), "below the threshold nothing streams");
+        let full = sink.full.expect("one full response");
+        assert_eq!(full.status, 200);
+        let names: Vec<&str> = full.headers.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["content-type", "etag", "x-cache"]);
+        // 256 + 256 = 512: streams, whatever `?stream=` says.
+        let mut sink = CollectSink::new();
+        svc.handle_into(
+            None,
+            &post("/v1/batch", "stream=0", streaming_batch()),
+            &mut sink,
+        );
+        assert!(
+            sink.head.is_some(),
+            "at the app threshold the batch must stream"
+        );
     }
 
     #[test]
-    fn stream_threshold_triggers_on_total_apps() {
+    fn oversized_shard_request_is_clamped_to_the_configured_count() {
+        let log = std::sync::Arc::new(BufferLog::new());
         let config = ServeConfig {
-            stream_apps: 3,
+            shards: 2,
             ..ServeConfig::default()
         };
-        let svc = Service::new(config, Box::new(BufferLog::new()));
-        // Two documents × two apps = 4 ≥ 3: streams without ?stream=1.
+        let svc = Service::new(config, Box::new(Fwd(log.clone())));
         let body = format!("{}{}", scenario_text(), scenario_text());
-        let mut sink = CollectSink::new();
-        svc.handle_into(None, &post("/v1/batch", "shards=2", body), &mut sink);
-        assert!(
-            sink.head.is_some(),
-            "past the app threshold the batch must stream"
+        let response = svc.handle(&post("/v1/batch", "shards=64", body));
+        assert_eq!(response.status, 200);
+        let text = String::from_utf8(response.body).unwrap();
+        assert!(text.starts_with("{\"shards\":2,"), "{text}");
+        assert_eq!(log.records()[0].shards, Some(2));
+    }
+
+    #[test]
+    fn single_scenario_endpoints_run_cluster_scenarios() {
+        use calciom::{ClusterSpec, MachineSpec};
+        use simcore::SimDuration;
+
+        let mut scenario = Scenario::from_text(&scenario_text()).unwrap();
+        scenario.cluster = Some(ClusterSpec::new(
+            1,
+            vec![
+                MachineSpec {
+                    latency: SimDuration::from_millis(1.0),
+                    apps: vec![AppId(0)],
+                },
+                MachineSpec {
+                    latency: SimDuration::from_millis(1.0),
+                    apps: vec![AppId(1)],
+                },
+            ],
+        ));
+        let svc = service();
+        let run = svc.handle(&post("/v1/run", "", scenario.to_text()));
+        assert_eq!(run.status, 200, "{}", String::from_utf8_lossy(&run.body));
+        assert_eq!(
+            String::from_utf8(run.body).unwrap(),
+            json::report_json(&scenario.run().unwrap())
         );
+        for path in ["/v1/trace", "/v1/timeline"] {
+            let response = svc.handle(&post(path, "", scenario.to_text()));
+            assert_eq!(response.status, 200, "{path}");
+        }
     }
 
     #[test]
@@ -1380,12 +1365,6 @@ mod tests {
     #[test]
     fn request_log_lines_have_the_contract_columns() {
         let log = std::sync::Arc::new(BufferLog::new());
-        struct Fwd(std::sync::Arc<BufferLog>);
-        impl RequestLog for Fwd {
-            fn record(&self, r: &RequestRecord) {
-                self.0.record(r);
-            }
-        }
         let svc = Service::new(ServeConfig::default(), Box::new(Fwd(log.clone())));
         svc.handle_into(
             Some(3),

@@ -5,8 +5,10 @@
 //! persistent connections open. The server runs on Linux only.
 #![cfg(target_os = "linux")]
 
-use calciom::{AccessPattern, AppConfig, AppId, PfsConfig, Scenario};
+use calciom::{AccessPattern, AppConfig, AppId, PfsConfig, Scenario, Strategy};
+use iobench::{run_scenarios_sharded, BaselineCache};
 use serve::client::{self, Conn};
+use serve::json;
 use serve::{start, BufferLog, RequestLog, RequestRecord, ServeConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -233,60 +235,66 @@ fn idle_keep_alive_connections_are_closed_after_the_idle_timeout() {
     handle.shutdown();
 }
 
+/// One scenario document holding `apps` small serialized writers.
+fn wide_scenario_text(apps: usize) -> String {
+    Scenario::builder(PfsConfig::grid5000_rennes())
+        .apps((0..apps).map(|i| {
+            AppConfig::new(AppId(i), "w", 8, AccessPattern::contiguous(1.0e6))
+                .starting_at_secs(i as f64 * 0.01)
+        }))
+        .strategy(Strategy::FcfsSerialize)
+        .build()
+        .unwrap()
+        .to_text()
+}
+
 #[test]
 fn streamed_batch_is_chunked_and_byte_identical_to_materialized() {
+    // Two 256-application documents: 512 applications, so the batch
+    // streams.
+    let half = wide_scenario_text(256);
+    let docs = format!("{half}{half}");
     let (handle, _) = boot(config());
     let mut conn = Conn::connect(handle.addr()).unwrap();
-    let docs = format!("{}{}", scenario_text(), scenario_text());
-
-    let materialized = conn
-        .request("POST", "/v1/batch?shards=2&stream=0", &[], docs.as_bytes())
+    let streamed = conn
+        .request("POST", "/v1/batch?shards=2", &[], docs.as_bytes())
         .unwrap();
-    assert_eq!(materialized.status, 200, "{}", materialized.text());
-    assert!(!materialized.chunked());
-
-    // stream=1 skips the response cache only on a cold key, so vary
-    // shards… no: same scenario, but the cached entry would be
-    // served materialized. Use a distinct scenario set instead.
-    let fresh_docs = format!("{docs}{}", scenario_text());
-    let materialized = conn
-        .request(
-            "POST",
-            "/v1/batch?shards=2&stream=0",
-            &[],
-            fresh_docs.as_bytes(),
-        )
-        .unwrap();
-    // A different server, same config, so the streamed run is cold.
-    let (cold, _) = boot(config());
-    let mut cold_conn = Conn::connect(cold.addr()).unwrap();
-    let streamed = cold_conn
-        .request(
-            "POST",
-            "/v1/batch?shards=2&stream=1",
-            &[],
-            fresh_docs.as_bytes(),
-        )
-        .unwrap();
-    assert_eq!(streamed.status, 200);
+    assert_eq!(streamed.status, 200, "{}", streamed.text());
     assert!(
         streamed.chunked(),
-        "a cold stream=1 batch must use chunked framing"
+        "a cold 512-app batch must use chunked framing"
+    );
+
+    // The materialized reference: the same runs, rendered whole.
+    let scenario = Scenario::from_text(&half).unwrap();
+    let scenarios = [scenario.clone(), scenario];
+    let shards = config().effective_shards().min(2);
+    let runs = run_scenarios_sharded(&scenarios, shards, &BaselineCache::new()).unwrap();
+    let entries: Vec<String> = runs.iter().map(json::batch_entry_json).collect();
+    let expected = format!(
+        "{}{}{}",
+        json::batch_prelude(shards, runs.len()),
+        entries.join(","),
+        json::BATCH_EPILOGUE
     );
     assert_eq!(
-        streamed.body, materialized.body,
+        streamed.text(),
+        expected,
         "de-chunked stream must equal the materialized body"
     );
-    // The connection survives the stream: keep-alive framing held.
+
+    // The connection survives the stream (keep-alive framing held), and
+    // the repeat is a cache hit served whole, byte for byte the same.
+    let hit = conn
+        .request("POST", "/v1/batch?shards=2", &[], docs.as_bytes())
+        .unwrap();
+    assert!(!hit.chunked(), "a cache hit is one Content-Length response");
+    assert_eq!(hit.body, streamed.body);
     assert_eq!(
-        cold_conn
-            .request("GET", "/healthz", &[], &[])
-            .unwrap()
-            .status,
+        conn.request("GET", "/healthz", &[], &[]).unwrap().status,
         200,
         "connection usable after a streamed response"
     );
-    cold.shutdown();
     handle.shutdown();
 }
 
@@ -307,7 +315,7 @@ fn graceful_shutdown_completes_in_flight_and_closes_idle_connections() {
     // the signal lands).
     let docs: String = (0..20).map(|_| scenario_text()).collect();
     let mut busy = Conn::connect(addr).unwrap();
-    busy.send("POST", "/v1/batch?shards=1&stream=0", &[], docs.as_bytes())
+    busy.send("POST", "/v1/batch?shards=1", &[], docs.as_bytes())
         .unwrap();
     std::thread::sleep(Duration::from_millis(50));
 

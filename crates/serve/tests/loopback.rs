@@ -181,7 +181,11 @@ fn oversized_body_is_rejected_before_reading_the_stream() {
 
 #[test]
 fn batch_fans_out_over_shards() {
-    let handle = boot(test_config());
+    // `?shards=` is capped at the configured count, so configure two.
+    let handle = boot(ServeConfig {
+        shards: 2,
+        ..test_config()
+    });
     let addr = handle.addr();
 
     let docs = format!("{}{}", scenario_text(), scenario_text());

@@ -10,8 +10,8 @@
 //! so report equality comes for free.
 
 use calciom_stack::calciom::{
-    AccessPattern, AppConfig, AppId, Granularity, PfsConfig, Scenario, Session, Strategy,
-    TraceRecorder,
+    AccessPattern, AppConfig, AppId, Granularity, PfsConfig, Scenario, Session, SharedTransport,
+    Strategy, TraceRecorder,
 };
 use calciom_stack::simcore::SimDuration;
 
@@ -265,7 +265,9 @@ fn shared_transport_matches_the_goldens_too() {
     for (label, _, scenario) in matrix() {
         assert_eq!(
             scenario.run().unwrap(),
-            scenario.run_shared().unwrap(),
+            Session::<SharedTransport>::with_transport(&scenario)
+                .and_then(Session::execute)
+                .unwrap(),
             "{label}: shared transport diverged"
         );
     }

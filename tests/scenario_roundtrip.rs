@@ -16,7 +16,7 @@ use calciom::{
     AccessPattern, AppConfig, AppId, DynamicPolicy, EfficiencyMetric, Granularity, PfsConfig,
     Scenario, Session, SessionReport, SharedTransport, Strategy, Trace, TraceRecorder,
 };
-use iobench::{parallel_map_owned, run_scenarios, run_scenarios_traced};
+use iobench::{parallel_map_owned, run_scenarios_sharded, BaselineCache};
 use simcore::SimDuration;
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -117,9 +117,14 @@ fn shared_transport_sweep_matches_sequential_and_uses_multiple_threads() {
         "the sweep must run sessions on at least two threads"
     );
 
-    // And the high-level helper agrees with both.
-    let via_helper = run_scenarios(&scenarios, 0).unwrap();
-    assert_eq!(via_helper, sequential);
+    // And the scenario runner agrees with both.
+    let via_runner: Vec<SessionReport> =
+        run_scenarios_sharded(&scenarios, 0, &BaselineCache::new())
+            .unwrap()
+            .into_iter()
+            .map(|run| run.report)
+            .collect();
+    assert_eq!(via_runner, sequential);
 }
 
 /// The canonical two-app serialize scenario of the trace-determinism
@@ -179,9 +184,20 @@ fn traces_are_identical_across_transports_and_repeated_runs() {
     assert_eq!(local_again, local_trace);
     assert_eq!(shared_again, shared_trace);
 
-    // And the parallel sweep helper records the very same stream even when
-    // sessions execute on worker threads.
-    let traced = run_scenarios_traced(&[scenario.clone(), scenario.clone()], 2).unwrap();
+    // And sessions record the very same stream when they execute on
+    // worker threads, each carrying its own recorder.
+    let jobs: Vec<_> = (0..2)
+        .map(|_| {
+            (
+                Session::<SharedTransport>::with_transport(&scenario).unwrap(),
+                TraceRecorder::for_scenario(&scenario),
+            )
+        })
+        .collect();
+    let traced = parallel_map_owned(jobs, 2, |(session, mut recorder)| {
+        let report = session.execute_with(&mut recorder).unwrap();
+        (report, recorder.into_trace())
+    });
     for (report, trace) in traced {
         assert_eq!(report, local_report);
         assert_eq!(trace, local_trace);
@@ -216,7 +232,6 @@ fn machine_mix_scenarios_obey_the_same_conventions_at_scale() {
     // 48-app machine mix round-trips through the text codec, reproduces
     // its report bit for bit, and the sharded sweep path (one worker per
     // strategy, shared baseline cache) matches the sequential runs.
-    use iobench::{run_scenarios_sharded, BaselineCache};
     use workloads::MachineMix;
 
     let mix = MachineMix {
